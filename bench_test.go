@@ -278,20 +278,12 @@ func BenchmarkAblationWeighting(b *testing.B) {
 // tick, same varying-power step loop).
 
 func BenchmarkThermalStepCoarse(b *testing.B) {
-	benchutil.ThermalStep(23, 20, rcnet.SolverAuto)(b)
+	benchutil.ThermalStep(23, 20)(b)
 }
 
 func BenchmarkThermalStepPaperResolution(b *testing.B) {
 	// The paper's 100 µm grid: 115×100 cells per slab, 5 slabs.
-	benchutil.ThermalStep(115, 100, rcnet.SolverAuto)(b)
-}
-
-// BenchmarkThermalStepPaperResolutionCG is the iterative-solver reference
-// for BenchmarkThermalStepPaperResolution: the same per-tick loop on the
-// PR 1 CG (SSOR) path, for tracking the direct-vs-iterative gap in the
-// BENCH_*.json trajectory.
-func BenchmarkThermalStepPaperResolutionCG(b *testing.B) {
-	benchutil.ThermalStep(115, 100, rcnet.SolverCG)(b)
+	benchutil.ThermalStep(115, 100)(b)
 }
 
 func BenchmarkSteadyState(b *testing.B) {
@@ -396,14 +388,11 @@ func BenchmarkSolveBatch8(b *testing.B) {
 	b.Run("sequential", benchutil.SolveSequential8)
 }
 
-// BenchmarkFactorizePaperResolution compares the serial and
-// level-parallel refactorize+solve at the paper's 115×100 grid — the
-// flow-transition cost a running simulation pays. The parallel schedule
-// is bit-identical to serial (mat.TestFactorizeParallelBitIdentical);
-// acceptance is ≥ 2× at GOMAXPROCS ≥ 4 with the serial body unchanged.
+// BenchmarkFactorizePaperResolution measures the refactorize+solve at the
+// paper's 115×100 grid on the production path (kernel family picked by
+// the analysis) — the flow-transition cost a running simulation pays.
 func BenchmarkFactorizePaperResolution(b *testing.B) {
-	b.Run("serial", benchutil.FactorizePaper(1))
-	b.Run("parallel", benchutil.FactorizePaper(0))
+	benchutil.FactorizePaper(b)
 }
 
 // BenchmarkFactorizePaperSupernodal pins the LDLᵀ kernel family on the

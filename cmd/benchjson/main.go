@@ -11,15 +11,15 @@
 //	                     # (symbolic analysis + first factorization at
 //	                     # 115×100, with the L fill, supernode count and
 //	                     # mean panel width reported, plus the
-//	                     # serial-vs-level-parallel refactorize+solve
-//	                     # pair and the supernodal-vs-scalar kernel
-//	                     # pairs for factorize, lone solve and the 8-RHS
-//	                     # batch sweep) — the opt-in nightly CI job's
+//	                     # production refactorize+solve and the
+//	                     # supernodal-vs-scalar kernel pairs for
+//	                     # factorize, lone solve and the 8-RHS batch
+//	                     # sweep) — the opt-in nightly CI job's
 //	                     # configuration
 //
 // The benchmark bodies are the ones bench_test.go runs (shared through
-// internal/benchutil): ThermalStepCoarse, ThermalStepPaperResolution plus
-// its CG reference, SteadyState, SimTick and SessionStep — per-tick loops
+// internal/benchutil): ThermalStepCoarse, ThermalStepPaperResolution,
+// SteadyState, SimTick and SessionStep — per-tick loops
 // with varying power, the regime real runs are in, with model
 // construction and the first factorizing tick as setup so op times
 // measure the steady cached-factor path — plus the RunManyCold/
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/benchutil"
-	"repro/internal/rcnet"
 	"repro/internal/stepper"
 )
 
@@ -80,9 +79,8 @@ func main() {
 		name string
 		fn   func(b *testing.B)
 	}{
-		{"ThermalStepCoarse", benchutil.ThermalStep(23, 20, rcnet.SolverAuto)},
-		{"ThermalStepPaperResolution", benchutil.ThermalStep(115, 100, rcnet.SolverAuto)},
-		{"ThermalStepPaperResolutionCG", benchutil.ThermalStep(115, 100, rcnet.SolverCG)},
+		{"ThermalStepCoarse", benchutil.ThermalStep(23, 20)},
+		{"ThermalStepPaperResolution", benchutil.ThermalStep(115, 100)},
 		{"SteadyState", benchutil.SteadyState},
 		{"SimTick", benchutil.SimTick},
 		{"SessionStep", benchutil.SessionStep},
@@ -108,11 +106,7 @@ func main() {
 			struct {
 				name string
 				fn   func(b *testing.B)
-			}{"FactorizePaperSerial", benchutil.FactorizePaper(1)},
-			struct {
-				name string
-				fn   func(b *testing.B)
-			}{"FactorizePaperParallel", benchutil.FactorizePaper(0)},
+			}{"FactorizePaperSerial", benchutil.FactorizePaper},
 			struct {
 				name string
 				fn   func(b *testing.B)

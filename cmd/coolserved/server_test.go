@@ -302,6 +302,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"layers":3}`,            // bad layer count
 		`{"wokload":"gzip"}`,      // typoed field
 		`{"workload":` + `"gzip"`, // truncated JSON
+		`{"grid_nx":-5}`,          // negative grid dimension
+		`{"solver":"cg"}`,         // not a scenario knob
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))

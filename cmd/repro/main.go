@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/platform"
-	"repro/internal/rcnet"
 	"repro/internal/stepper"
 )
 
@@ -39,8 +38,6 @@ func main() {
 		csvDir  = flag.String("csv", "", "also write machine-readable CSV files into this directory")
 		workers = flag.Int("workers", 0,
 			"scenario-level worker goroutines (0 = NumCPU); output is byte-identical for any value")
-		solver = flag.String("solver", "auto",
-			"thermal linear solver: auto (cached LDLT direct, CG fallback)|direct|cg|scalar|supernodal (scalar/supernodal force the LDLT kernel family)")
 		stepperMode = flag.String("stepper", "fixed",
 			"time-advance engine for every simulation run: fixed (paper-exact)|adaptive (thermal macro-steps, <=0.05C tolerance)")
 	)
@@ -58,12 +55,6 @@ func main() {
 	// same stacks, so the LUT/weight/symbolic analyses build once total
 	// instead of once per figure.
 	opt.Cache = platform.NewCache(0)
-	sk, err := rcnet.ParseSolver(*solver)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
-	opt.Solver = sk
 	kind, err := stepper.ParseKind(*stepperMode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)

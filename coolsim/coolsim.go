@@ -16,11 +16,10 @@
 //
 // Every entry point takes a context.Context and honors cancellation
 // within one simulated tick. Configuration is a Scenario value plus
-// functional options (WithWorkers, WithGrid, WithSolver, WithTick,
-// WithStepper, WithObserver, WithPlatformCache, WithControlEvery,
-// WithSolveParallelism, WithBatchCounters); failures surface as typed
-// errors (ErrUnknownWorkload, ErrUnknownCooling, ...) that wrap into
-// errors.Is. Scenario.Stepping/WithStepper select the time-advance
+// functional options (WithWorkers, WithGrid, WithTick, WithStepper,
+// WithObserver, WithPlatformCache, WithControlEvery, WithBatchCounters);
+// failures surface as typed errors (ErrUnknownWorkload,
+// ErrUnknownCooling, ...) that wrap into errors.Is. Scenario.Stepping/WithStepper select the time-advance
 // engine: the default fixed 100 ms loop, or adaptive thermal
 // macro-stepping (≤ 0.1 °C from fixed, several-fold faster through
 // thermally quiet phases), with samples at the base tick either way.
@@ -32,9 +31,6 @@
 // thermal solves ride one blocked multi-RHS sweep of the shared factor
 // — reports stay byte-identical to solo runs at any worker count, and
 // Report.BatchedSolves / WithBatchCounters expose what was ganged.
-// WithSolveParallelism enables level-parallel factorization and solves
-// inside a single run (bit-identical to serial) for paper-resolution
-// grids.
 package coolsim
 
 import (
@@ -44,7 +40,6 @@ import (
 	"io"
 
 	"repro/internal/pump"
-	"repro/internal/rcnet"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stepper"
@@ -121,12 +116,10 @@ type Scenario struct {
 	Seed int64 `json:"seed,omitempty"`
 	// DPM enables the fixed-timeout sleep policy.
 	DPM bool `json:"dpm,omitempty"`
-	// GridNX, GridNY default to 23×20 when zero.
+	// GridNX, GridNY default to 23×20 when zero. Negative values fail
+	// validation with ErrBadGrid.
 	GridNX int `json:"grid_nx,omitempty"`
 	GridNY int `json:"grid_ny,omitempty"`
-	// Solver selects the thermal linear solver: "auto" (default, cached
-	// LDLᵀ direct with CG fallback), "direct", or "cg".
-	Solver string `json:"solver,omitempty"`
 	// ControlEvery is the flow-controller decision cadence in base ticks
 	// (the control period). The controller still observes temperatures
 	// every tick; only its Decide step runs at the period. 0 keeps the
@@ -179,8 +172,8 @@ func (sc Scenario) Validate() error {
 }
 
 // PlatformKey returns the canonical identity of the scenario's platform
-// model (stack geometry, grid, solver) as an opaque string. Scenarios
-// with equal keys share the expensive platform setup (see
+// model (stack geometry, cooling class, grid) as an opaque string.
+// Scenarios with equal keys share the expensive platform setup (see
 // WithPlatformCache); services use the key to route platform-affine
 // work onto the same node.
 func (sc Scenario) PlatformKey() (string, error) {
@@ -264,7 +257,7 @@ type Report struct {
 	BatchedSolves int64 `json:"batched_solves"`
 	// SupernodalSolver reports whether the direct solver ran the
 	// supernodal dense-panel kernels; Supernodes and MeanPanelWidth
-	// describe the partition (0 under CG, or before the first solve).
+	// describe the partition (0 before the first solve).
 	// The kernel family never changes the trajectory beyond ≤1e-6 K.
 	SupernodalSolver bool    `json:"supernodal_solver"`
 	Supernodes       int     `json:"supernodes"`
@@ -459,6 +452,14 @@ func parsePolicy(s string) (sched.Policy, error) {
 	}
 }
 
+// checkGrid rejects negative grid dimensions; zero keeps the default.
+func checkGrid(nx, ny int) error {
+	if nx < 0 || ny < 0 {
+		return fmt.Errorf("%w: %dx%d (want positive, or 0 for the default)", ErrBadGrid, nx, ny)
+	}
+	return nil
+}
+
 // simConfig lowers the user-level scenario plus run options into the
 // internal simulator configuration.
 func (sc Scenario) simConfig(rc config) (sim.Config, error) {
@@ -491,19 +492,16 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 	if sc.Warmup > 0 {
 		cfg.Warmup = units.Second(sc.Warmup)
 	}
+	if err := checkGrid(sc.GridNX, sc.GridNY); err != nil {
+		return sim.Config{}, err
+	}
+	if err := checkGrid(rc.gridNX, rc.gridNY); err != nil {
+		return sim.Config{}, err
+	}
 	if sc.GridNX > 0 && sc.GridNY > 0 {
 		cfg.GridNX, cfg.GridNY = sc.GridNX, sc.GridNY
 	}
 	cfg.DPMEnabled = sc.DPM
-	solverName := sc.Solver
-	if rc.solver != "" {
-		solverName = rc.solver
-	}
-	solver, err := rcnet.ParseSolver(solverName)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: %q (want auto|direct|cg)", ErrUnknownSolver, solverName)
-	}
-	cfg.Solver = solver
 	stepping := sc.Stepping
 	if rc.stepping != nil {
 		stepping = *rc.stepping
@@ -525,7 +523,6 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 		MaxStep:      units.Second(stepping.MaxStepS),
 		ControlEvery: controlEvery,
 	}
-	cfg.SolveWorkers = rc.solveWorkers
 	if rc.batch != nil {
 		cfg.BatchCounters = &rc.batch.inner
 	}

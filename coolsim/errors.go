@@ -14,12 +14,13 @@ var (
 	ErrUnknownPolicy = errors.New("coolsim: unknown scheduling policy")
 	// ErrUnknownWorkload: Scenario.Workload is not a Table II benchmark.
 	ErrUnknownWorkload = errors.New("coolsim: unknown workload")
-	// ErrUnknownSolver: Scenario.Solver is not auto|direct|cg.
-	ErrUnknownSolver = errors.New("coolsim: unknown solver")
 	// ErrUnknownStepping: Scenario.Stepping.Mode is not fixed|adaptive.
 	ErrUnknownStepping = errors.New("coolsim: unknown stepping mode")
 	// ErrBadLayers: Scenario.Layers is not 2 or 4.
 	ErrBadLayers = errors.New("coolsim: unsupported layer count")
+	// ErrBadGrid: a grid dimension (Scenario.GridNX/GridNY or WithGrid)
+	// is negative.
+	ErrBadGrid = errors.New("coolsim: bad grid resolution")
 	// ErrBadControlEvery: the flow-controller decision period
 	// (Scenario.ControlEvery / WithControlEvery) is negative.
 	ErrBadControlEvery = errors.New("coolsim: bad control period")

@@ -80,3 +80,35 @@ func TestPlatformKey(t *testing.T) {
 		t.Fatalf("invalid scenario key err = %v", err)
 	}
 }
+
+// TestGridValidation: a negative grid dimension is a typed error rather
+// than a silent fall-back to the default grid; 0/0 keeps the default.
+func TestGridValidation(t *testing.T) {
+	cases := []struct {
+		nx, ny  int
+		wantKey string // platform key on success
+		wantErr error
+	}{
+		{0, 0, "2L/liquid/23x20", nil},
+		{12, 10, "2L/liquid/12x10", nil},
+		{-5, 0, "", ErrBadGrid},
+		{0, -5, "", ErrBadGrid},
+		{-5, 20, "", ErrBadGrid},
+		{23, -1, "", ErrBadGrid},
+		{-5, -5, "", ErrBadGrid},
+	}
+	for _, c := range cases {
+		sc := DefaultScenario()
+		sc.GridNX, sc.GridNY = c.nx, c.ny
+		key, err := sc.PlatformKey()
+		if !errors.Is(err, c.wantErr) {
+			t.Errorf("grid %dx%d: PlatformKey err = %v, want %v", c.nx, c.ny, err, c.wantErr)
+		}
+		if key != c.wantKey {
+			t.Errorf("grid %dx%d: key %q, want %q", c.nx, c.ny, key, c.wantKey)
+		}
+		if err := sc.Validate(); !errors.Is(err, c.wantErr) {
+			t.Errorf("grid %dx%d: Validate = %v, want %v", c.nx, c.ny, err, c.wantErr)
+		}
+	}
+}

@@ -8,14 +8,12 @@ type Option func(*config)
 type config struct {
 	workers        int
 	gridNX, gridNY int
-	solver         string
 	tick           float64
 	stepping       *Stepping
 	observer       func(*Sample)
 	memberObserver func(member int, smp *Sample)
 	pcache         *PlatformCache
 	controlEvery   int
-	solveWorkers   int
 	batch          *BatchCounters
 }
 
@@ -34,15 +32,10 @@ func WithWorkers(n int) Option {
 }
 
 // WithGrid overrides the thermal grid resolution of every scenario in the
-// call, taking precedence over Scenario.GridNX/GridNY.
+// call, taking precedence over Scenario.GridNX/GridNY. Negative values
+// fail with ErrBadGrid.
 func WithGrid(nx, ny int) Option {
 	return func(c *config) { c.gridNX, c.gridNY = nx, ny }
-}
-
-// WithSolver overrides the thermal linear solver ("auto", "direct" or
-// "cg"), taking precedence over Scenario.Solver.
-func WithSolver(name string) Option {
-	return func(c *config) { c.solver = name }
 }
 
 // WithTick overrides the sampling interval in seconds (default 0.1, the
@@ -98,15 +91,6 @@ func WithMemberObserver(fn func(member int, smp *Sample)) Option {
 // own setting); negative values fail with ErrBadControlEvery.
 func WithControlEvery(n int) Option {
 	return func(c *config) { c.controlEvery = n }
-}
-
-// WithSolveParallelism enables level-parallel LDLᵀ factorization and
-// triangular solves inside each scenario's thermal model, using up to n
-// workers per solve. Results are bit-identical to the serial solver at
-// any n; n ≤ 1 (the default) keeps the serial sweeps, which are faster
-// below roughly the paper's 115×100 resolution.
-func WithSolveParallelism(n int) Option {
-	return func(c *config) { c.solveWorkers = n }
 }
 
 // WithBatchCounters makes the call report batched-solve statistics into

@@ -28,7 +28,7 @@ type PlatformCache struct {
 
 // NewPlatformCache returns a cache bounded to maxStacks platforms;
 // maxStacks <= 0 is unbounded. The bound is per stack shape (layers ×
-// cooling class × grid × solver config), not per scenario — the default
+// cooling class × grid), not per scenario — the default
 // experiment space fits in a handful of entries. Beyond the bound the
 // least-recently-used platform is evicted (in-flight runs holding it are
 // unaffected).

@@ -28,7 +28,7 @@ const DefaultSweepLimit = 100000
 // filters do not perturb the order of the surviving members.
 type Sweep struct {
 	// Base carries every knob the axes do not vary: duration, warmup,
-	// grid resolution, solver, faults, and the starting values of the
+	// grid resolution, faults, and the starting values of the
 	// axis fields themselves. Unset Base fields inherit
 	// DefaultScenario, and expansion materializes those defaults into
 	// every member, so a member round-trips unchanged through the

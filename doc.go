@@ -9,8 +9,8 @@
 // The public API is the repro/coolsim package: context-cancellable
 // Run/RunMany/RunTraced over plain Scenario values, a Session/Sample
 // streaming API yielding allocation-free per-tick observations, functional
-// options (WithWorkers, WithGrid, WithSolver, WithTick, WithStepper,
-// WithObserver, WithPlatformCache), typed errors, and the offline
+// options (WithWorkers, WithGrid, WithTick, WithStepper, WithObserver,
+// WithPlatformCache), typed errors, and the offline
 // Analysis sweeps.
 // Runs sharing a stack shape share their expensive setup — grid, solver
 // symbolic analysis, controller LUT and weight tables — through a
@@ -37,15 +37,16 @@
 // cmd/coolsim, experiments.Options.Workers, sim.RunAll) and the thermal
 // solver: a cached sparse LDLᵀ direct factorization (symbolic analysis
 // once per stack shape, numeric factors cached per flow setting and time
-// step, two allocation-free triangular sweeps per tick) with
-// preconditioned CG as the selectable cross-check and automatic fallback
-// (-solver, rcnet.Config.Solver). On grids where the amalgamated
-// elimination tree yields wide enough supernodes (the paper's 115×100
-// resolution), the analysis switches the LDLᵀ kernels to supernodal
-// dense panels — blocked rank-k factorization updates and dense panel
-// triangular sweeps — matching the scalar kernels to 1e-9 entry-wise
-// and 1e-6 K end-to-end while roughly doubling factorization and solve
-// throughput; -solver supernodal|scalar forces the kernel family.
+// step, two allocation-free triangular sweeps per tick). It is the only
+// solve path: every system the simulator assembles is SPD (tested), and
+// a factorization failure is an error, not a switch to another solver.
+// On grids where the amalgamated elimination tree yields wide enough
+// supernodes (the paper's 115×100 resolution), the analysis switches the
+// LDLᵀ kernels to supernodal dense panels — blocked rank-k factorization
+// updates and dense panel triangular sweeps — matching the scalar
+// kernels to 1e-9 entry-wise and 1e-6 K end-to-end while roughly
+// doubling factorization and solve throughput. The conjugate-gradient
+// solver stays in internal/mat as the tests' independent oracle.
 // EXPERIMENTS.md documents the experiment knobs and
 // calibration; cmd/benchjson snapshots the substrate benchmarks to
 // BENCH_<date>.json per PR (the opt-in nightly workflow adds the

@@ -6,7 +6,6 @@ package benchutil
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"repro/coolsim"
@@ -25,17 +24,14 @@ import (
 // StepModel builds the benchmark thermal model: the 2-layer liquid T1
 // stack at nx×ny with full-load block powers and mid (0.5 l/min) flow,
 // warmed by one tick so the timed loop measures the steady per-tick path
-// — with the default direct solver the first Step pays the one-time
-// symbolic analysis and factorization that every later tick reuses from
-// the (flow, dt) cache.
-func StepModel(nx, ny int, solver rcnet.SolverKind) (*rcnet.Model, error) {
+// — the first Step pays the one-time symbolic analysis and factorization
+// that every later tick reuses from the (flow, dt) cache.
+func StepModel(nx, ny int) (*rcnet.Model, error) {
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(nx, ny))
 	if err != nil {
 		return nil, err
 	}
-	cfg := rcnet.DefaultConfig()
-	cfg.Solver = solver
-	m, err := rcnet.New(g, cfg)
+	m, err := rcnet.New(g, rcnet.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -62,10 +58,8 @@ func StepModel(nx, ny int, solver rcnet.SolverKind) (*rcnet.Model, error) {
 }
 
 // StepLoop is the timed per-tick loop with a per-tick power update, the
-// regime every real simulation run is in. (With constant power the
-// temperature field settles and the warm-started CG reference converges
-// in a couple of iterations — a flattering, unrepresentative special
-// case; varying power is what the 100 ms tick loop actually does.)
+// regime every real simulation run is in: varying power is what the
+// 100 ms tick loop actually does.
 func StepLoop(b *testing.B, m *rcnet.Model) {
 	b.Helper()
 	layers := m.Grid.Stack.Layers
@@ -95,10 +89,10 @@ func StepLoop(b *testing.B, m *rcnet.Model) {
 }
 
 // ThermalStep returns the varying-power per-tick benchmark at one grid
-// resolution and solver.
-func ThermalStep(nx, ny int, solver rcnet.SolverKind) func(b *testing.B) {
+// resolution.
+func ThermalStep(nx, ny int) func(b *testing.B) {
 	return func(b *testing.B) {
-		m, err := StepModel(nx, ny, solver)
+		m, err := StepModel(nx, ny)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +106,7 @@ func ThermalStep(nx, ny int, solver rcnet.SolverKind) func(b *testing.B) {
 // op is the steady cached-factor path (0 B/op — the earlier snapshots'
 // ~4.4 KB/op was that first factorization amortized into the mean).
 func SteadyState(b *testing.B) {
-	m, err := StepModel(23, 20, rcnet.SolverAuto)
+	m, err := StepModel(23, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -359,6 +353,18 @@ func SolveSequential8(b *testing.B) {
 // setup of the kernel-comparison benchmarks.
 func paperSystem(b *testing.B, super bool) (*mat.LDLSymbolic, *mat.CSR) {
 	b.Helper()
+	symb, sys := paperSystemAuto(b)
+	symb.SetSupernodal(super)
+	if super && !symb.Supernodal() {
+		b.Fatal("paper-resolution analysis has no supernodal partition")
+	}
+	return symb, sys
+}
+
+// paperSystemAuto builds the paper-resolution backward-Euler system and
+// its analyzed symbolic with the kernel family the analysis picks.
+func paperSystemAuto(b *testing.B) (*mat.LDLSymbolic, *mat.CSR) {
+	b.Helper()
 	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(115, 100))
 	if err != nil {
 		b.Fatal(err)
@@ -378,10 +384,6 @@ func paperSystem(b *testing.B, super bool) (*mat.LDLSymbolic, *mat.CSR) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	symb.SetSupernodal(super)
-	if super && !symb.Supernodal() {
-		b.Fatal("paper-resolution analysis has no supernodal partition")
-	}
 	return symb, sys
 }
 
@@ -395,23 +397,30 @@ func paperSystem(b *testing.B, super bool) (*mat.LDLSymbolic, *mat.CSR) {
 func FactorizePaperKernel(super bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		symb, sys := paperSystem(b, super)
-		num, err := symb.Factorize(sys, nil)
-		if err != nil {
+		factorizeSolveLoop(b, symb, sys)
+	}
+}
+
+// factorizeSolveLoop times one refactorization into a reused factor plus
+// one triangular solve per op.
+func factorizeSolveLoop(b *testing.B, symb *mat.LDLSymbolic, sys *mat.CSR) {
+	b.Helper()
+	num, err := symb.Factorize(sys, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]float64, sys.N)
+	rhs := make([]float64, sys.N)
+	for i := range rhs {
+		rhs[i] = 1 + float64(i%5)
+	}
+	num.Solve(x, rhs) // warm the solve scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if num, err = symb.Factorize(sys, num); err != nil {
 			b.Fatal(err)
 		}
-		x := make([]float64, sys.N)
-		rhs := make([]float64, sys.N)
-		for i := range rhs {
-			rhs[i] = 1 + float64(i%5)
-		}
-		num.Solve(x, rhs) // warm the solve scratch
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if num, err = symb.Factorize(sys, num); err != nil {
-				b.Fatal(err)
-			}
-			num.Solve(x, rhs)
-		}
+		num.Solve(x, rhs)
 	}
 }
 
@@ -462,62 +471,15 @@ func SolveBatchKernel8(super bool) func(b *testing.B) {
 	}
 }
 
-// FactorizePaper returns the paper-resolution refactorize+solve
-// benchmark at a worker count: each op is one numeric factorization of
-// the 115×100 backward-Euler system into a reused factor plus one
-// triangular solve — the flow-transition cost a running simulation pays.
-// workers <= 0 uses NumCPU. The workers=1 serial body is the baseline;
-// the level-parallel body must be bit-identical to it (pinned by
-// mat.TestFactorizeParallelBitIdentical) and ≥ 2× faster at
-// GOMAXPROCS ≥ 4 on the paper grid. The analysis auto-selects the
-// kernel family, so at this size both bodies run the supernodal
-// dense-panel kernels (FactorizePaperKernel pins the family explicitly).
-func FactorizePaper(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(115, 100))
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := rcnet.New(g, rcnet.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.SetFlow(0.5); err != nil {
-			b.Fatal(err)
-		}
-		sys, err := m.SystemCSR(0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		symb, err := mat.AnalyzeLDL(sys, mat.OrderAuto)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-			if workers == 1 {
-				b.Log("single-CPU host: the parallel body degenerates to serial, timing is parity-only")
-			}
-		}
-		symb.SetWorkers(workers)
-		num, err := symb.Factorize(sys, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := make([]float64, sys.N)
-		rhs := make([]float64, sys.N)
-		for i := range rhs {
-			rhs[i] = 1 + float64(i%5)
-		}
-		num.Solve(x, rhs) // warm the parallel solve's level buffers
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if num, err = symb.Factorize(sys, num); err != nil {
-				b.Fatal(err)
-			}
-			num.Solve(x, rhs)
-		}
-	}
+// FactorizePaper is the paper-resolution refactorize+solve benchmark on
+// the production path: each op is one numeric factorization of the
+// 115×100 backward-Euler system into a reused factor plus one triangular
+// solve — the flow-transition cost a running simulation pays. The
+// analysis' size gate picks the kernel family (supernodal at this size;
+// FactorizePaperKernel pins it explicitly).
+func FactorizePaper(b *testing.B) {
+	symb, sys := paperSystemAuto(b)
+	factorizeSolveLoop(b, symb, sys)
 }
 
 // RunManySharedFactor measures the co-scheduled batch path: four

@@ -38,11 +38,6 @@ type Options struct {
 	// collected in input order, so tables, figures and CSV output are
 	// byte-identical for every worker count.
 	Workers int
-	// Solver selects the thermal linear solver for every model an
-	// experiment builds (simulation runs and LUT/weight analyses). The
-	// zero value rcnet.SolverAuto is the cached-LDLᵀ direct solver;
-	// rcnet.SolverCG reproduces the iterative path as a cross-check.
-	Solver rcnet.SolverKind
 	// Stepping selects the time-advance engine for every simulation run
 	// of the experiment. The zero value is the fixed base-tick loop;
 	// stepper.Adaptive trades ≤ tolerance temperature error for long
@@ -100,12 +95,10 @@ func (o Options) cacheOrNew() *platform.Cache {
 
 // spec is the platform key of one experiment configuration.
 func (o Options) spec(layers int, liquid bool) platform.Spec {
-	rcCfg := rcnet.DefaultConfig()
-	rcCfg.Solver = o.Solver
 	return platform.Spec{
 		Layers: layers, Liquid: liquid,
 		GridNX: o.GridNX, GridNY: o.GridNY,
-		RC: rcCfg,
+		RC: rcnet.DefaultConfig(),
 	}
 }
 
@@ -177,7 +170,6 @@ func (o Options) run(ctx context.Context, cache *platform.Cache, layers int, com
 	cfg.Warmup = o.Warmup
 	cfg.GridNX, cfg.GridNY = o.GridNX, o.GridNY
 	cfg.DPMEnabled = dpmOn
-	cfg.Solver = o.Solver
 	cfg.Stepper = o.Stepping
 	p, err := cache.Get(o.spec(layers, combo.Cooling != sim.Air))
 	if err != nil {

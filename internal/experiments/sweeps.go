@@ -51,7 +51,6 @@ func InletSweep(ctx context.Context, o Options, bench string, inletsC []float64)
 		inlet := inletsC[ii]
 		rcCfg := rcnet.DefaultConfig()
 		rcCfg.CoolantInlet = units.Celsius(inlet).ToKelvin()
-		rcCfg.Solver = o.Solver
 
 		spec := o.spec(2, true)
 		spec.RC = rcCfg

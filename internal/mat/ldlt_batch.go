@@ -8,7 +8,9 @@ package mat
 // dominates a single Solve is amortized k ways. Per-RHS results are
 // bit-identical to sequential Solve calls, except that the blocked
 // forward sweep does not reproduce Solve's skip of exact-zero
-// multipliers (see ldlt_par.go; only -0 accumulators could ever tell).
+// multipliers: subtracting the skipped ±0 products changes a result bit
+// only when an accumulator holds -0, never the case for the strictly
+// positive thermal systems this package serves.
 //
 // Each xs[r]/bs[r] must have length N; xs[r] may alias bs[r]. Like
 // Solve, SolveBatch allocates nothing in steady state: the panel scratch

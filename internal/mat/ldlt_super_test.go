@@ -166,12 +166,12 @@ func TestSupernodalDegenerateWidthOne(t *testing.T) {
 	}
 }
 
-// TestSupernodalParallelBitIdentical pins the determinism contract: the
-// supernodal factorization and solves are bit-identical to the serial
-// supernodal path at every worker count, and run-to-run at a fixed
-// count. (The name matches CI's determinism regex, which reruns it under
+// TestSupernodalCloneBitIdentical pins the determinism contract of the
+// dense-panel kernels: clones inherit the supernodal setting, and their
+// factorization and solves are bit-identical to the source's, run after
+// run. (The name matches CI's determinism regex, which reruns it under
 // -race at GOMAXPROCS=1 and 8.)
-func TestSupernodalParallelBitIdentical(t *testing.T) {
+func TestSupernodalCloneBitIdentical(t *testing.T) {
 	a := gridLaplacian(60, 50, 2)
 	rng := rand.New(rand.NewSource(3))
 	bvec := make([]float64, a.N)
@@ -191,34 +191,31 @@ func TestSupernodalParallelBitIdentical(t *testing.T) {
 	xRef := make([]float64, a.N)
 	fRef.Solve(xRef, bvec)
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		s := base.Clone()
-		s.SetWorkers(workers)
-		if !s.Supernodal() {
-			t.Fatal("clone must inherit the supernodal setting")
+	s := base.Clone()
+	if !s.Supernodal() {
+		t.Fatal("clone must inherit the supernodal setting")
+	}
+	for run := 0; run < 2; run++ {
+		f, err := s.Factorize(a, nil)
+		if err != nil {
+			t.Fatalf("run=%d: %v", run, err)
 		}
-		for run := 0; run < 2; run++ {
-			f, err := s.Factorize(a, nil)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+		for i := range f.lx {
+			if math.Float64bits(f.lx[i]) != math.Float64bits(fRef.lx[i]) {
+				t.Fatalf("run=%d: lx[%d]=%x source %x",
+					run, i, math.Float64bits(f.lx[i]), math.Float64bits(fRef.lx[i]))
 			}
-			for i := range f.lx {
-				if math.Float64bits(f.lx[i]) != math.Float64bits(fRef.lx[i]) {
-					t.Fatalf("workers=%d run=%d: lx[%d]=%x serial %x",
-						workers, run, i, math.Float64bits(f.lx[i]), math.Float64bits(fRef.lx[i]))
-				}
+		}
+		for i := range f.d {
+			if math.Float64bits(f.d[i]) != math.Float64bits(fRef.d[i]) {
+				t.Fatalf("run=%d: d[%d] differs", run, i)
 			}
-			for i := range f.d {
-				if math.Float64bits(f.d[i]) != math.Float64bits(fRef.d[i]) {
-					t.Fatalf("workers=%d run=%d: d[%d] differs", workers, run, i)
-				}
-			}
-			x := make([]float64, a.N)
-			f.Solve(x, bvec)
-			for i := range x {
-				if math.Float64bits(x[i]) != math.Float64bits(xRef[i]) {
-					t.Fatalf("workers=%d run=%d: x[%d]=%g serial %g", workers, run, i, x[i], xRef[i])
-				}
+		}
+		x := make([]float64, a.N)
+		f.Solve(x, bvec)
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(xRef[i]) {
+				t.Fatalf("run=%d: x[%d]=%g source %g", run, i, x[i], xRef[i])
 			}
 		}
 	}
@@ -334,9 +331,9 @@ func TestSupernodalHotPathAllocFree(t *testing.T) {
 }
 
 // TestSupernodalNotPositiveDefinite: an indefinite system fails with
-// ErrNotPositiveDefinite reporting the same first pivot from the serial
-// and every parallel supernodal path, and the symbolic object stays
-// reusable afterwards.
+// ErrNotPositiveDefinite reporting the same first pivot from the source
+// analysis and a clone, and the symbolic object stays reusable
+// afterwards.
 func TestSupernodalNotPositiveDefinite(t *testing.T) {
 	nx, ny := 30, 20
 	good := gridLaplacian(nx, ny, 2)
@@ -353,20 +350,16 @@ func TestSupernodalNotPositiveDefinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetSupernodal(true)
-	_, serialErr := s.Factorize(bad, nil)
-	if !errors.Is(serialErr, ErrNotPositiveDefinite) {
-		t.Fatalf("serial: got %v, want ErrNotPositiveDefinite", serialErr)
+	_, srcErr := s.Factorize(bad, nil)
+	if !errors.Is(srcErr, ErrNotPositiveDefinite) {
+		t.Fatalf("source: got %v, want ErrNotPositiveDefinite", srcErr)
 	}
-	for _, workers := range []int{2, 4} {
-		sc := s.Clone()
-		sc.SetWorkers(workers)
-		_, parErr := sc.Factorize(bad, nil)
-		if !errors.Is(parErr, ErrNotPositiveDefinite) {
-			t.Fatalf("workers=%d: got %v", workers, parErr)
-		}
-		if parErr.Error() != serialErr.Error() {
-			t.Fatalf("workers=%d: error %q, serial %q", workers, parErr, serialErr)
-		}
+	_, cloneErr := s.Clone().Factorize(bad, nil)
+	if !errors.Is(cloneErr, ErrNotPositiveDefinite) {
+		t.Fatalf("clone: got %v", cloneErr)
+	}
+	if cloneErr.Error() != srcErr.Error() {
+		t.Fatalf("clone error %q, source %q", cloneErr, srcErr)
 	}
 	// Recovery: the same symbolic object factorizes the SPD system.
 	f, err := s.Factorize(good, nil)

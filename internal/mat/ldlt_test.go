@@ -309,3 +309,100 @@ func TestMatchesRejectsDifferentPattern(t *testing.T) {
 		t.Error("clone must carry the pattern fingerprint")
 	}
 }
+
+// TestCloneFactorizeBitIdentical pins the contract that lets one analysis
+// serve every model of a shared platform: a clone factorizes and solves
+// bit for bit like its source, on fresh and on recycled numeric objects,
+// through Solve and SolveBatch alike.
+func TestCloneFactorizeBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	cases := []*CSR{
+		gridLaplacian(40, 33, 2.5),
+		randSPD(900, 3, rng),
+	}
+	for ci, a := range cases {
+		src, err := AnalyzeLDL(a, OrderAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := src.Factorize(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bvec := make([]float64, a.N)
+		for i := range bvec {
+			bvec[i] = 300 + 50*rng.Float64()
+		}
+		wantX := make([]float64, a.N)
+		fs.Solve(wantX, bvec)
+		clone := src.Clone()
+		fc, err := clone.Factorize(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Refactorize into the same numeric object (the per-tick reuse
+		// path) before comparing.
+		if _, err := clone.Factorize(a, fc); err != nil {
+			t.Fatal(err)
+		}
+		for i := range fs.d {
+			if math.Float64bits(fs.d[i]) != math.Float64bits(fc.d[i]) {
+				t.Fatalf("case %d: d[%d] %g vs source %g", ci, i, fc.d[i], fs.d[i])
+			}
+		}
+		for i := range fs.lx {
+			if math.Float64bits(fs.lx[i]) != math.Float64bits(fc.lx[i]) {
+				t.Fatalf("case %d: lx[%d] differs", ci, i)
+			}
+		}
+		x := make([]float64, a.N)
+		fc.Solve(x, bvec)
+		xs := [][]float64{make([]float64, a.N), make([]float64, a.N)}
+		fc.SolveBatch(xs, [][]float64{bvec, bvec})
+		for _, got := range append(xs, x) {
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(wantX[i]) {
+					t.Fatalf("case %d: clone x[%d]=%g vs source %g", ci, i, got[i], wantX[i])
+				}
+			}
+		}
+	}
+}
+
+// TestLDLRecoversAfterNotPositiveDefinite: a failed factorization of a
+// same-structure indefinite matrix leaves the symbolic object's scratch
+// clean, so the next factorization of the SPD matrix is bit-identical to
+// one on a fresh analysis.
+func TestLDLRecoversAfterNotPositiveDefinite(t *testing.T) {
+	a := gridLaplacian(30, 20, 2)
+	s, err := AnalyzeLDL(a, OrderAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Supernodal() {
+		t.Fatal("expected the scalar kernels at this size")
+	}
+	ref, err := s.Clone().Factorize(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.AddAt(215, 215, -1e6)
+	if _, err := s.Factorize(a, nil); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("indefinite: got %v, want ErrNotPositiveDefinite", err)
+	}
+	a.AddAt(215, 215, 1e6)
+	f, err := s.Factorize(a, nil)
+	if err != nil {
+		t.Fatalf("factorize after failure: %v", err)
+	}
+	for i := range ref.d {
+		if math.Float64bits(ref.d[i]) != math.Float64bits(f.d[i]) {
+			t.Fatalf("d[%d] differs after recovery", i)
+		}
+	}
+	for i := range ref.lx {
+		if math.Float64bits(ref.lx[i]) != math.Float64bits(f.lx[i]) {
+			t.Fatalf("lx[%d] differs after recovery", i)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 // Package mat provides the small amount of numerical linear algebra the
-// thermal solver needs: compressed-sparse-row matrices, a preconditioned
-// conjugate-gradient solver (Jacobi or SSOR, with reusable scratch
-// workspaces for allocation-free tick loops) for the symmetric positive
-// definite systems that arise from RC thermal networks, and a dense LU
-// fallback used by tests and tiny systems.
+// thermal solver needs: compressed-sparse-row matrices and the cached
+// sparse LDLᵀ factorization (scalar and supernodal kernels) that solves
+// the symmetric positive definite systems of RC thermal networks every
+// tick. A preconditioned conjugate-gradient solver (Jacobi or SSOR) is
+// kept as an independent oracle for tests, and a dense LU serves tests
+// and tiny systems.
 //
 // Go has no numerical ecosystem in the standard library, so this package is
 // deliberately self-contained and tuned only as far as the simulator

@@ -52,18 +52,15 @@ type Spec struct {
 	Liquid bool
 	// GridNX, GridNY are the thermal grid resolution.
 	GridNX, GridNY int
-	// RC is the thermal boundary/solver configuration (comparable: no
-	// slices or pointers).
+	// RC is the thermal boundary configuration (comparable: no slices or
+	// pointers).
 	RC rcnet.Config
 }
 
-// Canonical returns the spec with defaulted fields normalized, so two
-// specs that build identical artifacts compare equal (and hit the same
-// cache entry).
+// Canonical returns the spec in the form used as a cache key. Every
+// field is significant and none is defaulted, so the canonical form is
+// the spec itself.
 func (s Spec) Canonical() Spec {
-	if s.RC.SolverTol == 0 {
-		s.RC.SolverTol = rcnet.DefaultConfig().SolverTol
-	}
 	return s
 }
 
@@ -84,7 +81,7 @@ func (s Spec) String() string {
 	if s.Liquid {
 		cooling = "liquid"
 	}
-	return fmt.Sprintf("%dL/%s/%dx%d/solver=%v", s.Layers, cooling, s.GridNX, s.GridNY, s.RC.Solver)
+	return fmt.Sprintf("%dL/%s/%dx%d", s.Layers, cooling, s.GridNX, s.GridNY)
 }
 
 // Stats counts the expensive builds a platform has performed. Each
@@ -261,18 +258,16 @@ func (p *Platform) symbolic(ctx context.Context) (*mat.LDLSymbolic, error) {
 
 // Warm eagerly builds the expensive artifacts a run on this platform
 // would otherwise build lazily at first use: the direct solver's
-// symbolic analysis always (unless the spec forces CG), the flow LUT
-// when lut is set (liquid platforms only — the flag is ignored
-// otherwise) and the TALB weight table when weights is set. Builds go
+// symbolic analysis always, the flow LUT when lut is set (liquid
+// platforms only — the flag is ignored otherwise) and the TALB weight
+// table when weights is set. Builds go
 // through the same deduplication cells as the lazy path, so a Warm
 // racing real runs never repeats work, and a canceled build is not
 // cached — the next caller retries. The campaign engine calls this once
 // per distinct platform shape before fanning members out.
 func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
-	if p.spec.RC.Solver != rcnet.SolverCG {
-		if _, err := p.symbolic(ctx); err != nil {
-			return err
-		}
+	if _, err := p.symbolic(ctx); err != nil {
+		return err
 	}
 	if lut && p.spec.Liquid {
 		if _, err := p.LUT(ctx); err != nil {
@@ -288,18 +283,14 @@ func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
 }
 
 // NewModel returns a fresh thermal model on the shared grid. Every model
-// owns its mutable state (temperatures, factors, scratch); with the
-// direct solver it is seeded with a private clone of the shared symbolic
-// analysis, so per-model construction skips the ordering and fill
-// analysis entirely. ctx bounds the wait on a concurrent symbolic build.
+// owns its mutable state (temperatures, factors, scratch) and is seeded
+// with a private clone of the shared symbolic analysis, so per-model
+// construction skips the ordering and fill analysis entirely. ctx bounds
+// the wait on a concurrent symbolic build.
 func (p *Platform) NewModel(ctx context.Context) (*rcnet.Model, error) {
-	var symb *mat.LDLSymbolic
-	if p.spec.RC.Solver != rcnet.SolverCG {
-		s, err := p.symbolic(ctx)
-		if err != nil {
-			return nil, err
-		}
-		symb = s
+	symb, err := p.symbolic(ctx)
+	if err != nil {
+		return nil, err
 	}
 	m, err := rcnet.NewWithSymbolic(p.grid, p.spec.RC, symb)
 	if err != nil {

@@ -15,13 +15,17 @@ func quickSpec(layers int, liquid bool) Spec {
 
 func TestSpecCanonicalEquality(t *testing.T) {
 	a := quickSpec(2, true)
-	a.RC.SolverTol = 0 // defaulted field
 	b := quickSpec(2, true)
 	if a.Canonical() != b.Canonical() {
 		t.Errorf("canonical specs differ: %+v vs %+v", a.Canonical(), b.Canonical())
 	}
 	if a.Canonical() == quickSpec(2, false).Canonical() {
 		t.Error("liquid and air specs must not collide")
+	}
+	c := quickSpec(2, true)
+	c.RC.CoolantInlet += 5
+	if a.Canonical() == c.Canonical() {
+		t.Error("specs with different thermal configs must not collide")
 	}
 }
 

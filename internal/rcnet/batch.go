@@ -93,10 +93,10 @@ func (c *BatchCounters) Snapshot() BatchSnapshot {
 // lock-step, grouping the per-tick linear solves of models that share a
 // factorKey (same delivered flow, same dt) into single SolveBatch sweeps:
 // the factor's indices and values are streamed once for the whole group.
-// Per-model state — temperatures, coolant march, factor caches, CG
-// fallback — stays fully isolated; only the leader's numeric factor is
-// shared, and models whose key diverges (or whose factorization fails)
-// fall back to their own serial Step path, bit-identically.
+// Per-model state — temperatures, coolant march, factor caches — stays
+// fully isolated; only the leader's numeric factor is shared, and models
+// whose key diverges fall back to their own serial Step path,
+// bit-identically.
 //
 // A BatchStepper may be used from one goroutine at a time; distinct
 // steppers over distinct models may run concurrently (sharing at most
@@ -120,8 +120,8 @@ func NewBatchStepper(ctr *BatchCounters) *BatchStepper {
 }
 
 // Widths reports, for each model of the last Step call (by position),
-// the width of the solve group it was served in; 1 means a solo solve or
-// a CG fallback. Valid until the next Step.
+// the width of the solve group it was served in; 1 means a solo solve.
+// Valid until the next Step.
 func (st *BatchStepper) Widths() []int { return st.widths }
 
 // Step advances every model by dt, batching compatible solves. It is
@@ -187,19 +187,12 @@ func (st *BatchStepper) Step(models []*Model, dt units.Second) error {
 // its serial Step — and the group sweeps once through it.
 func (st *BatchStepper) solveGroup(models []*Model, mem []int, dtF float64) error {
 	lead := models[mem[0]]
+	if len(mem) == 1 {
+		return lead.solvePrepared(dtF)
+	}
 	num, err := lead.factorFor(dtF)
 	if err != nil {
 		return fmt.Errorf("rcnet: transient solve: %w", err)
-	}
-	if num == nil || len(mem) == 1 {
-		// CG fallback (or a width-1 group): every member runs its own
-		// serial solve path, including its own factor-cache bookkeeping.
-		for _, i := range mem {
-			if err := models[i].solvePrepared(dtF); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	st.xs = st.xs[:0]
 	st.bs = st.bs[:0]

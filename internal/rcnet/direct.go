@@ -1,86 +1,6 @@
 package rcnet
 
-import (
-	"fmt"
-
-	"repro/internal/mat"
-)
-
-// SolverKind selects how the linear systems of Step and SteadyState are
-// solved.
-type SolverKind int
-
-const (
-	// SolverAuto (the default) uses the cached sparse LDLᵀ direct solver
-	// and falls back to preconditioned CG if a factorization ever fails
-	// (e.g. a degenerate configuration breaks positive definiteness).
-	SolverAuto SolverKind = iota
-	// SolverDirect forces the LDLᵀ path; factorization failure is a hard
-	// error instead of a fallback.
-	SolverDirect
-	// SolverCG forces preconditioned conjugate gradient (the pre-direct
-	// behavior), kept as a cross-check and for configurations whose
-	// matrix changes every solve.
-	SolverCG
-	// SolverScalar forces the LDLᵀ path with the scalar column kernels,
-	// overriding the profitability-based kernel pick. Kept as the
-	// reference implementation and an escape hatch; like SolverDirect,
-	// factorization failure is a hard error.
-	SolverScalar
-	// SolverSupernodal forces the LDLᵀ path with the supernodal
-	// dense-panel kernels even on systems the automatic gate deems too
-	// small to profit. Results match the scalar kernels to floating-point
-	// reassociation (≤1e-6 K end-to-end; see the property tests).
-	SolverSupernodal
-)
-
-// String implements fmt.Stringer.
-func (k SolverKind) String() string {
-	switch k {
-	case SolverAuto:
-		return "auto"
-	case SolverDirect:
-		return "direct"
-	case SolverCG:
-		return "cg"
-	case SolverScalar:
-		return "scalar"
-	case SolverSupernodal:
-		return "supernodal"
-	default:
-		return fmt.Sprintf("SolverKind(%d)", int(k))
-	}
-}
-
-// ParseSolver maps a CLI string to a SolverKind.
-func ParseSolver(s string) (SolverKind, error) {
-	switch s {
-	case "", "auto":
-		return SolverAuto, nil
-	case "direct", "ldlt":
-		return SolverDirect, nil
-	case "cg", "iterative":
-		return SolverCG, nil
-	case "scalar":
-		return SolverScalar, nil
-	case "supernodal", "super":
-		return SolverSupernodal, nil
-	default:
-		return 0, fmt.Errorf("rcnet: unknown solver %q (want auto|direct|cg|scalar|supernodal)", s)
-	}
-}
-
-// applyKernelMode forces the symbolic analysis onto the kernel family the
-// solver kind demands. SolverAuto and SolverDirect keep the analysis'
-// own profitability-based pick.
-func (k SolverKind) applyKernelMode(s *mat.LDLSymbolic) {
-	switch k {
-	case SolverScalar:
-		s.SetSupernodal(false)
-	case SolverSupernodal:
-		s.SetSupernodal(true)
-	}
-}
+import "repro/internal/mat"
 
 // factorKey identifies one system matrix: the backward-Euler matrix
 // A = G + diag(boundG) + diag(C/dt) depends only on the flow setting
@@ -100,41 +20,22 @@ type factorKey struct {
 // recycled into the replacement factorization.
 const maxCachedFactors = 16
 
-// solveDirect attempts the cached-factorization direct solve of the
-// current system (m.sys, m.rhs) into m.temp. It reports whether the solve
-// happened; (false, nil) means the caller should run the CG fallback. The
+// factorFor returns the numeric factors of the current system (m.sys)
+// for its (flow, dt) key, factorizing (and caching) on a miss. The
 // symbolic analysis is done once per model (the sparsity never changes);
-// numeric factors are cached per (flow, dt) key, so the per-tick cost
-// after the first solve of a key is two triangular sweeps — and zero
-// allocations.
-func (m *Model) solveDirect(dt float64) (bool, error) {
-	num, err := m.factorFor(dt)
-	if err != nil || num == nil {
-		return false, err
-	}
-	num.Solve(m.temp, m.rhs)
-	return true, nil
-}
-
-// factorFor returns the numeric factors for the current (flow, dt) key,
-// factorizing (and caching) on a miss. A nil factor with a nil error
-// means the caller should take the CG fallback — the solver is SolverCG,
-// or a factorization failed under SolverAuto (the key is then cached as
-// broken). This is solveDirect minus the solve itself, shared with the
-// gang scheduler's BatchStepper, which solves many models through one
-// factor.
+// numeric factors are cached per key, so the per-tick cost after the
+// first solve of a key is two triangular sweeps — and zero allocations.
+// A failed factorization is returned (wrapping
+// mat.ErrNotPositiveDefinite for a non-SPD system) and nothing is
+// cached. Shared by solvePrepared, SteadyState and the gang scheduler's
+// BatchStepper, which solves many models through one factor.
 func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
-	if m.Cfg.Solver == SolverCG {
-		return nil, nil
-	}
 	key := factorKey{float64(m.flow), dt}
 	if num, ok := m.factors[key]; ok {
-		return num, nil // num == nil: factorization failed before; stay on CG
+		return num, nil
 	}
-	if m.symb == nil {
-		if _, err := m.EnsureSymbolic(); err != nil {
-			return nil, m.factorFailedErr(key, err)
-		}
+	if _, err := m.EnsureSymbolic(); err != nil {
+		return nil, err
 	}
 	var reuse *mat.LDLNumeric
 	if len(m.factorSeq) >= maxCachedFactors {
@@ -145,27 +46,12 @@ func (m *Model) factorFor(dt float64) (*mat.LDLNumeric, error) {
 	}
 	num, err := m.symb.Factorize(m.sys, reuse)
 	if err != nil {
-		return nil, m.factorFailedErr(key, err)
+		return nil, err
 	}
 	m.factors[key] = num
 	m.factorSeq = append(m.factorSeq, key)
 	m.nFactor++
 	return num, nil
-}
-
-// factorFailedErr records a failed factorization. Under the forced LDLᵀ
-// kinds (SolverDirect, SolverScalar, SolverSupernodal) the error is
-// surfaced; under SolverAuto the key is cached as broken so every later
-// solve of this configuration goes straight to CG.
-func (m *Model) factorFailedErr(key factorKey, err error) error {
-	if m.Cfg.Solver != SolverAuto {
-		return err
-	}
-	if _, ok := m.factors[key]; !ok {
-		m.factors[key] = nil
-		m.factorSeq = append(m.factorSeq, key)
-	}
-	return nil
 }
 
 // Factorizations returns how many numeric LDLᵀ factorizations this model
@@ -181,7 +67,7 @@ func (m *Model) CachedFactors() int { return len(m.factors) }
 // solver: the supernode count, the mean panel width (nodes/supernodes —
 // the factor by which the dense panels amortize the scalar kernels'
 // per-entry index traffic) and whether the panel kernels are active.
-// All zero before the symbolic analysis has run (or under SolverCG).
+// All zero before the symbolic analysis has run.
 func (m *Model) SupernodeStats() (supernodes int, meanPanelWidth float64, active bool) {
 	if m.symb == nil {
 		return 0, 0, false

@@ -7,41 +7,56 @@ import (
 
 	"repro/internal/floorplan"
 	"repro/internal/grid"
+	"repro/internal/mat"
 	"repro/internal/units"
 )
 
 // directTol is the required agreement between the LDLᵀ and CG temperature
-// fields (ISSUE 2 acceptance: ≤ 1e-6 K).
+// fields (≤ 1e-6 K).
 const directTol = 1e-6
 
-func buildSolverPair(t *testing.T, liquid bool, nx, ny int) (direct, cg *Model) {
+// cgTol is the relative residual of the test-side CG oracle, far below
+// the usual 1e-8 so the iterative reference is itself accurate to
+// ≪1e-6 K: the air-cooled RHS norm is dominated by the sink row, so a
+// relative residual of 1e-10 still leaves ~1e-4 K of absolute error (the
+// direct solve is exact to machine precision either way).
+const cgTol = 1e-13
+
+// cgReference solves the model's prepared system (m.sys, m.rhs) with
+// preconditioned conjugate gradient, warm-started from the current
+// temperatures — the test oracle for the direct solver. The model is not
+// modified.
+func cgReference(t *testing.T, m *Model, pc mat.Preconditioner) []float64 {
 	t.Helper()
-	mk := func(solver SolverKind) *Model {
-		var stack *floorplan.Stack
-		if liquid {
-			stack = floorplan.NewT1Stack2(true)
-		} else {
-			stack = floorplan.NewT1Stack2(false)
-		}
-		g, err := grid.Build(stack, grid.DefaultParams(nx, ny))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Solver = solver
-		// Tighten CG far below its default so the iterative reference is
-		// itself accurate to ≪1e-6 K: the air-cooled RHS norm is dominated
-		// by the sink row, so a relative residual of 1e-10 still leaves
-		// ~1e-4 K of absolute error (the direct solve is exact to machine
-		// precision either way).
-		cfg.SolverTol = 1e-13
-		m, err := New(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	x := m.TempsCopy()
+	var ws mat.CGWorkspace
+	if _, err := ws.Solve(m.sys, x, m.rhs, mat.CGOptions{Tol: cgTol, MaxIter: 20 * m.n, Precond: pc}); err != nil {
+		t.Fatal(err)
 	}
-	return mk(SolverDirect), mk(SolverCG)
+	return x
+}
+
+// stepAgainstCG advances m by dt through its direct solver and returns
+// the largest deviation from the CG oracle on the same prepared system.
+func stepAgainstCG(t *testing.T, m *Model, dt float64) float64 {
+	t.Helper()
+	m.prepareStep(dt)
+	ref := cgReference(t, m, mat.PrecondSSOR)
+	if err := m.solvePrepared(dt); err != nil {
+		t.Fatal(err)
+	}
+	return maxAbsDiff(m.Temps(), ref)
+}
+
+// forceKernel pins the model's LDLᵀ kernel family (scalar columns or
+// supernodal panels), overriding the analysis' size gate.
+func forceKernel(t *testing.T, m *Model, super bool) {
+	t.Helper()
+	s, err := m.EnsureSymbolic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetSupernodal(super)
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -54,82 +69,77 @@ func maxAbsDiff(a, b []float64) float64 {
 	return mx
 }
 
-// TestDirectMatchesCGProperty is the solver-equivalence property test of
-// ISSUE 2: across liquid- and air-cooled stacks, random power maps, random
-// flow switches and both test grid resolutions, the direct LDLᵀ transient
-// trajectory and steady state must match the CG reference within 1e-6 K.
+// TestDirectMatchesCGProperty is the solver-equivalence property test:
+// across liquid- and air-cooled stacks, both LDLᵀ kernel families, random
+// power maps, random flow switches and both test grid resolutions, every
+// direct transient solve matches the CG oracle on the same prepared
+// system within 1e-6 K, and the steady state's final linear system is
+// solved to the same bound.
 func TestDirectMatchesCGProperty(t *testing.T) {
 	grids := [][2]int{{12, 10}, {23, 20}}
 	for _, liquid := range []bool{true, false} {
 		for _, dims := range grids {
-			md, mc := buildSolverPair(t, liquid, dims[0], dims[1])
-			rng := rand.New(rand.NewSource(int64(dims[0]) + 31*int64(dims[1])))
-			setPower := func(m *Model, seed int64) {
-				r := rand.New(rand.NewSource(seed))
-				for li, layer := range m.Grid.Stack.Layers {
-					p := make([]float64, len(layer.Blocks))
-					for bi := range p {
-						p[bi] = 4 * r.Float64()
+			for _, super := range []bool{false, true} {
+				g, err := grid.Build(floorplan.NewT1Stack2(liquid), grid.DefaultParams(dims[0], dims[1]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := New(g, DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				forceKernel(t, m, super)
+				rng := rand.New(rand.NewSource(int64(dims[0]) + 31*int64(dims[1])))
+				for step := 0; step < 25; step++ {
+					if step%5 == 0 {
+						for li, layer := range m.Grid.Stack.Layers {
+							p := make([]float64, len(layer.Blocks))
+							for bi := range p {
+								p[bi] = 4 * rng.Float64()
+							}
+							if err := m.SetLayerPower(li, p); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if liquid {
+							flow := units.LitersPerMinute(0.1 + 0.9*rng.Float64())
+							if step%10 == 5 {
+								flow = 0 // stagnant coolant still conducts
+							}
+							if err := m.SetFlow(flow); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
-					if err := m.SetLayerPower(li, p); err != nil {
+					if d := stepAgainstCG(t, m, 0.1); d > directTol {
+						t.Fatalf("liquid=%v %dx%d supernodal=%v step %d: |T_direct − T_CG| = %g K > %g",
+							liquid, dims[0], dims[1], super, step, d, directTol)
+					}
+				}
+				if m.Factorizations() == 0 {
+					t.Fatalf("liquid=%v %dx%d: direct model never factored", liquid, dims[0], dims[1])
+				}
+				if _, _, active := m.SupernodeStats(); active != super {
+					t.Fatalf("liquid=%v %dx%d: panel kernels active=%v, forced %v",
+						liquid, dims[0], dims[1], active, super)
+				}
+				// Steady state (liquid needs flow; the last random flow may
+				// be zero): the converged field must solve its own dt=0
+				// system. The fixed point stops at a 1e-5 K delta, so allow
+				// that margin on top of the linear solve tolerance.
+				if liquid {
+					if err := m.SetFlow(0.4); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-			for step := 0; step < 25; step++ {
-				if step%5 == 0 {
-					seed := rng.Int63()
-					setPower(md, seed)
-					setPower(mc, seed)
-					if liquid {
-						flow := units.LitersPerMinute(0.1 + 0.9*rng.Float64())
-						if step%10 == 5 {
-							flow = 0 // stagnant coolant still conducts
-						}
-						if err := md.SetFlow(flow); err != nil {
-							t.Fatal(err)
-						}
-						if err := mc.SetFlow(flow); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if err := md.Step(0.1); err != nil {
+				if err := m.SteadyState(); err != nil {
 					t.Fatal(err)
 				}
-				if err := mc.Step(0.1); err != nil {
-					t.Fatal(err)
+				m.buildSystem(0)
+				if d := maxAbsDiff(m.Temps(), cgReference(t, m, mat.PrecondSSOR)); d > 5e-5 {
+					t.Errorf("liquid=%v %dx%d supernodal=%v steady: |T_direct − T_CG| = %g K",
+						liquid, dims[0], dims[1], super, d)
 				}
-				if d := maxAbsDiff(md.Temps(), mc.Temps()); d > directTol {
-					t.Fatalf("liquid=%v %dx%d step %d: |T_direct − T_CG| = %g K > %g",
-						liquid, dims[0], dims[1], step, d, directTol)
-				}
-			}
-			if md.Factorizations() == 0 {
-				t.Fatalf("liquid=%v %dx%d: direct model never factored", liquid, dims[0], dims[1])
-			}
-			// Steady state must agree too (liquid needs flow; the last
-			// random flow may be zero).
-			if liquid {
-				if err := md.SetFlow(0.4); err != nil {
-					t.Fatal(err)
-				}
-				if err := mc.SetFlow(0.4); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := md.SteadyState(); err != nil {
-				t.Fatal(err)
-			}
-			if err := mc.SteadyState(); err != nil {
-				t.Fatal(err)
-			}
-			// The fixed point iterates coolant boundary conditions to a
-			// 1e-5 K stopping delta, so allow the two independently
-			// converged trajectories that margin on top of the linear
-			// solve tolerance.
-			if d := maxAbsDiff(md.Temps(), mc.Temps()); d > 5e-5 {
-				t.Errorf("liquid=%v %dx%d steady: |T_direct − T_CG| = %g K", liquid, dims[0], dims[1], d)
 			}
 		}
 	}
@@ -144,9 +154,7 @@ func TestFactorCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Solver = SolverDirect
-	m, err := New(g, cfg)
+	m, err := New(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,44 +219,22 @@ func TestFactorCacheReuse(t *testing.T) {
 
 // TestFactorCacheEviction drives more distinct keys than the cache holds
 // and checks the solver keeps producing correct answers (FIFO eviction
-// recycles the oldest numeric buffer).
+// recycles the oldest numeric buffer), against the CG oracle on every
+// prepared system.
 func TestFactorCacheEviction(t *testing.T) {
-	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Solver = SolverDirect
-	m, err := New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := testModelAt(t, 12, 10)
 	t1Power(t, m)
-	ref, err := New(g, func() Config { c := DefaultConfig(); c.Solver = SolverCG; c.SolverTol = 1e-13; return c }())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1Power(t, ref)
 	for i := 0; i < 2*maxCachedFactors+3; i++ {
 		flow := units.LitersPerMinute(0.1 + 0.02*float64(i))
 		if err := m.SetFlow(flow); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.SetFlow(flow); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Step(0.1); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Step(0.1); err != nil {
-			t.Fatal(err)
+		if d := stepAgainstCG(t, m, 0.1); d > directTol {
+			t.Fatalf("key %d: |T_direct − T_CG| = %g K", i, d)
 		}
 	}
 	if got := m.CachedFactors(); got > maxCachedFactors {
 		t.Fatalf("cache grew to %d entries, cap %d", got, maxCachedFactors)
-	}
-	if d := maxAbsDiff(m.Temps(), ref.Temps()); d > directTol {
-		t.Fatalf("after eviction churn |T_direct − T_CG| = %g K", d)
 	}
 }
 
@@ -260,9 +246,7 @@ func TestSteadyStateSharesFactorAcrossLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Solver = SolverDirect
-	m, err := New(g, cfg)
+	m, err := New(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,27 +269,5 @@ func TestSteadyStateSharesFactorAcrossLadder(t *testing.T) {
 	}
 	if got := m.Factorizations(); got != 1 {
 		t.Fatalf("ladder sweep at one setting: %d factorizations, want 1", got)
-	}
-}
-
-func TestParseSolver(t *testing.T) {
-	cases := map[string]SolverKind{
-		"": SolverAuto, "auto": SolverAuto,
-		"direct": SolverDirect, "ldlt": SolverDirect,
-		"cg": SolverCG, "iterative": SolverCG,
-	}
-	for in, want := range cases {
-		got, err := ParseSolver(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSolver(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseSolver("nope"); err == nil {
-		t.Error("ParseSolver(nope) did not fail")
-	}
-	for _, k := range []SolverKind{SolverAuto, SolverDirect, SolverCG} {
-		if rt, err := ParseSolver(k.String()); err != nil || rt != k {
-			t.Errorf("round trip %v failed: %v, %v", k, rt, err)
-		}
 	}
 }

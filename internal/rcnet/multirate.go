@@ -71,7 +71,7 @@ func (m *Model) AnalyzeAndFactor(dt units.Second) (*mat.LDLSymbolic, *mat.LDLNum
 // SystemCSR assembles the backward-Euler system matrix at dt and returns
 // it — the diagnostic companion of AnalyzeAndFactor for benchmarks that
 // analyze and refactorize outside the model's solver cache (the nightly
-// level-parallel factorization tracker). The returned matrix aliases the
+// paper-resolution factorization trackers). The returned matrix aliases the
 // model's assembly buffer: it stays valid until the next Step,
 // SteadyState, AnalyzeAndFactor or SystemCSR call and must not be
 // mutated.
@@ -90,8 +90,7 @@ func (m *Model) SystemCSR(dt units.Second) (*mat.CSR, error) {
 // accurate two-half-step solution; the returned estimate is the maximum
 // absolute node difference between the two solutions (K ≡ °C).
 //
-// With the default direct solver the three solves are cached-factor
-// triangular sweeps once the (flow, dt) and (flow, dt/2) factors exist —
+// The three solves are cached-factor triangular sweeps once the (flow, dt) and (flow, dt/2) factors exist —
 // and when dt is a power-of-two multiple of the base tick, dt/2 is the
 // next macro-step rung down, so the estimator introduces at most one
 // extra factor key per flow setting.

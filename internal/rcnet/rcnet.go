@@ -13,16 +13,17 @@
 //
 // The network is solved with backward-Euler time stepping (unconditionally
 // stable for the stiff RC systems that 0.4 mm cavities against 100 ms ticks
-// produce). The default linear solver is a cached sparse LDLᵀ direct
+// produce). Every linear solve goes through one cached sparse LDLᵀ direct
 // factorization: the system matrix depends only on the pump's flow setting
 // and the time step, so it is analyzed symbolically once (fill-reducing
 // nested-dissection or RCM ordering), factored numerically the first time
 // each (flow, dt) combination is solved, and every subsequent tick costs
-// just two triangular sweeps — allocation-free. Preconditioned conjugate
-// gradient (SSOR by default, Jacobi optional) remains available as a
-// cross-check (Config.Solver) and as the automatic fallback; steady states
-// are fixed-point iterations between the conduction solve and the coolant
-// march.
+// just two triangular sweeps — allocation-free. The analysis picks the
+// kernel family from the system size (scalar columns below the
+// supernodal gate, dense supernodal panels above it). A matrix that is
+// not positive definite is a returned error wrapping
+// mat.ErrNotPositiveDefinite. Steady states are fixed-point iterations
+// between the conduction solve and the coolant march.
 package rcnet
 
 import (
@@ -57,21 +58,6 @@ type Config struct {
 	SinkCapacitance float64
 	// InitTemp is the uniform initial temperature.
 	InitTemp units.Kelvin
-	// SolverTol is the CG relative tolerance (default 1e-8).
-	SolverTol float64
-	// Precond selects the CG preconditioner. The zero value is Jacobi
-	// scaling; DefaultConfig picks SSOR, which roughly halves the
-	// iteration count at about one extra matvec per iteration — ~30%
-	// faster per Step on the paper-resolution grid.
-	Precond mat.Preconditioner
-	// Solver selects the linear solver: the zero value SolverAuto uses
-	// the cached sparse LDLᵀ direct solver (factor once per flow setting
-	// and dt, two triangular sweeps per tick) with CG as the fallback;
-	// SolverCG forces the iterative path. SolverScalar and
-	// SolverSupernodal force the LDLᵀ kernel family (scalar columns vs
-	// dense supernodal panels) instead of letting the analysis pick by
-	// profitability.
-	Solver SolverKind
 }
 
 // DefaultConfig returns the configuration used throughout the experiments.
@@ -83,9 +69,6 @@ func DefaultConfig() Config {
 		SinkConvectionR:       0.1,
 		SinkCapacitance:       140,
 		InitTemp:              units.Celsius(60).ToKelvin(),
-		SolverTol:             1e-8,
-		Precond:               mat.PrecondSSOR,
-		Solver:                SolverAuto,
 	}
 }
 
@@ -132,17 +115,15 @@ type Model struct {
 
 	sys      *mat.CSR
 	rhs, old []float64
-	sysDiag  []int           // position of each row's diagonal entry in sys.Val
-	ws       mat.CGWorkspace // CG scratch, reused across Step/SteadyState
-	ssPrev   []float64       // SteadyState fixed-point scratch
+	sysDiag  []int     // position of each row's diagonal entry in sys.Val
+	ssPrev   []float64 // SteadyState fixed-point scratch
 
 	// Direct-solver state: one symbolic analysis per model (the sparsity
 	// is fixed at assembly), numeric factors cached per (flow, dt) key.
-	symb         *mat.LDLSymbolic
-	factors      map[factorKey]*mat.LDLNumeric
-	factorSeq    []factorKey // insertion order, for FIFO eviction
-	nFactor      int         // numeric factorizations performed (diagnostics)
-	solveWorkers int         // SetSolveWorkers; applied when symb exists
+	symb      *mat.LDLSymbolic
+	factors   map[factorKey]*mat.LDLNumeric
+	factorSeq []factorKey // insertion order, for FIFO eviction
+	nFactor   int         // numeric factorizations performed (diagnostics)
 
 	// Step-doubling estimator scratch (StepWithEstimate).
 	estState TransientState
@@ -151,9 +132,6 @@ type Model struct {
 
 // New builds the thermal network for g.
 func New(g *grid.Grid, cfg Config) (*Model, error) {
-	if cfg.SolverTol == 0 {
-		cfg.SolverTol = 1e-8
-	}
 	m := &Model{Grid: g, Cfg: cfg, sinkNode: -1}
 	m.n = g.TotalNodes()
 	if !g.Stack.LiquidCooled {
@@ -208,13 +186,12 @@ func NewWithSymbolic(g *grid.Grid, cfg Config, symb *mat.LDLSymbolic) (*Model, e
 	if err != nil {
 		return nil, err
 	}
-	if symb != nil && cfg.Solver != SolverCG {
+	if symb != nil {
 		if !symb.Matches(m.sys) {
 			return nil, fmt.Errorf("rcnet: shared symbolic analysis is for a different structure (%d nodes, model has %d)",
 				symb.N(), m.n)
 		}
 		m.symb = symb.Clone()
-		cfg.Solver.applyKernelMode(m.symb)
 	}
 	return m, nil
 }
@@ -231,22 +208,8 @@ func (m *Model) EnsureSymbolic() (*mat.LDLSymbolic, error) {
 			return nil, err
 		}
 		m.symb = s
-		m.symb.SetWorkers(m.solveWorkers)
-		m.Cfg.Solver.applyKernelMode(m.symb)
 	}
 	return m.symb, nil
-}
-
-// SetSolveWorkers configures level-parallel direct factorization and
-// triangular solves for this model (see mat.LDLSymbolic.SetWorkers);
-// n ≤ 1 keeps the serial paths. Results are bit-identical at every
-// worker count. The setting survives a not-yet-performed symbolic
-// analysis and is applied when it happens.
-func (m *Model) SetSolveWorkers(n int) {
-	m.solveWorkers = n
-	if m.symb != nil {
-		m.symb.SetWorkers(n)
-	}
 }
 
 // conductivity returns the (lateral, vertical) conductivities of a cell.
@@ -536,10 +499,10 @@ func (m *Model) buildSystem(dt float64) {
 
 // Step advances the transient solution by dt seconds with backward Euler,
 // marching the coolant once per step (the paper re-computes flux-dependent
-// terms periodically rather than continuously). With the default direct
-// solver the first Step after a new (flow setting, dt) combination factors
-// the system once; every later tick reuses the cached factors and performs
-// just two triangular sweeps, allocation-free.
+// terms periodically rather than continuously). The first Step after a new
+// (flow setting, dt) combination factors the system once; every later
+// tick reuses the cached factors and performs just two triangular sweeps,
+// allocation-free.
 func (m *Model) Step(dt units.Second) error {
 	if dt <= 0 {
 		return fmt.Errorf("rcnet: non-positive dt %v", dt)
@@ -559,18 +522,13 @@ func (m *Model) prepareStep(dt float64) {
 }
 
 // solvePrepared runs the post-assembly half of Step: the cached direct
-// solve with the CG fallback. Step ≡ prepareStep + solvePrepared.
+// solve. Step ≡ prepareStep + solvePrepared.
 func (m *Model) solvePrepared(dt float64) error {
-	if done, err := m.solveDirect(dt); err != nil {
-		return fmt.Errorf("rcnet: transient solve: %w", err)
-	} else if done {
-		return nil
-	}
-	_, err := m.ws.Solve(m.sys, m.temp, m.rhs,
-		mat.CGOptions{Tol: m.Cfg.SolverTol, Precond: m.Cfg.Precond})
+	num, err := m.factorFor(dt)
 	if err != nil {
 		return fmt.Errorf("rcnet: transient solve: %w", err)
 	}
+	num.Solve(m.temp, m.rhs)
 	return nil
 }
 
@@ -607,19 +565,15 @@ func (m *Model) SteadyState() error {
 		m.marchCoolant(relax)
 		m.buildSystem(0)
 		// The dt=0 matrix is constant across the whole fixed point (only
-		// the coolant boundary temperatures on the RHS move), so the
-		// direct path factors once per flow setting and every outer
-		// iteration — and every ladder point of a controller.BuildLUT
-		// sweep at that setting — reuses the cached factors.
-		if done, err := m.solveDirect(0); err != nil {
+		// the coolant boundary temperatures on the RHS move), so it is
+		// factored once per flow setting and every outer iteration — and
+		// every ladder point of a controller.BuildLUT sweep at that
+		// setting — reuses the cached factors.
+		num, err := m.factorFor(0)
+		if err != nil {
 			return fmt.Errorf("rcnet: steady solve: %w", err)
-		} else if !done {
-			_, err := m.ws.Solve(m.sys, m.temp, m.rhs,
-				mat.CGOptions{Tol: m.Cfg.SolverTol, MaxIter: 20 * m.n, Precond: m.Cfg.Precond})
-			if err != nil {
-				return fmt.Errorf("rcnet: steady solve: %w", err)
-			}
 		}
+		num.Solve(m.temp, m.rhs)
 		if totalTransport > 0 {
 			imbalance := float64(m.TotalPower()) - float64(m.HeatRemovedByCoolant())
 			offset := units.Clamp(imbalance/totalTransport, -10, 10)

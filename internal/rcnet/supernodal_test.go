@@ -11,28 +11,27 @@ import (
 
 func buildKernelPair(t *testing.T, liquid bool, nx, ny int) (super, scalar *Model) {
 	t.Helper()
-	mk := func(solver SolverKind) *Model {
-		stack := floorplan.NewT1Stack2(liquid)
-		g, err := grid.Build(stack, grid.DefaultParams(nx, ny))
+	mk := func(super bool) *Model {
+		g, err := grid.Build(floorplan.NewT1Stack2(liquid), grid.DefaultParams(nx, ny))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
-		cfg.Solver = solver
-		m, err := New(g, cfg)
+		m, err := New(g, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
+		forceKernel(t, m, super)
 		return m
 	}
-	return mk(SolverSupernodal), mk(SolverScalar)
+	return mk(true), mk(false)
 }
 
 // TestSupernodalMatchesScalarEndToEnd is the end-to-end kernel-equivalence
 // property: across liquid- and air-cooled stacks, random power maps,
 // random flow switches and both test grid resolutions, transient
 // trajectories and steady states computed through the dense-panel kernels
-// match the scalar-kernel reference within 1e-6 K. (Both sides are exact
+// match the scalar-kernel reference within 1e-6 K, with each family
+// forced through SetSupernodal. (Both sides are exact
 // direct solves; the gap is pure floating-point reassociation, orders of
 // magnitude below the bound.)
 func TestSupernodalMatchesScalarEndToEnd(t *testing.T) {
@@ -90,33 +89,39 @@ func TestSupernodalMatchesScalarEndToEnd(t *testing.T) {
 					liquid, dims[0], dims[1], d)
 			}
 			if _, _, active := ms.SupernodeStats(); !active {
-				t.Errorf("liquid=%v %dx%d: SolverSupernodal did not activate the panel kernels",
+				t.Errorf("liquid=%v %dx%d: forcing supernodal did not activate the panel kernels",
 					liquid, dims[0], dims[1])
 			}
 			if _, _, active := mc.SupernodeStats(); active {
-				t.Errorf("liquid=%v %dx%d: SolverScalar left the panel kernels on",
+				t.Errorf("liquid=%v %dx%d: forcing scalar left the panel kernels on",
 					liquid, dims[0], dims[1])
 			}
 		}
 	}
 }
 
-// TestSupernodalKernelForcing pins the knob semantics: the forced kinds
-// override the profitability gate in both directions, the stats accessor
-// reports a coherent partition, and a shared symbolic analysis passed
-// through NewWithSymbolic picks up the clone's own forced mode.
+// TestSupernodalKernelForcing pins the test hook the kernel-equivalence
+// tests rely on: SetSupernodal on a model's analysis overrides the size
+// gate, the stats accessor reports a coherent partition, and a model
+// seeded through NewWithSymbolic inherits the source's mode while owning
+// later changes to it.
 func TestSupernodalKernelForcing(t *testing.T) {
-	stack := floorplan.NewT1Stack2(true)
-	g, err := grid.Build(stack, grid.DefaultParams(12, 10))
+	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Solver = SolverSupernodal
-	m, err := New(g, cfg)
+	m, err := New(g, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	symb, err := m.EnsureSymbolic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if symb.Supernodal() {
+		t.Fatal("a 12x10 grid must default to the scalar kernels")
+	}
+	forceKernel(t, m, true)
 	if err := m.Step(0.1); err != nil {
 		t.Fatal(err)
 	}
@@ -125,22 +130,21 @@ func TestSupernodalKernelForcing(t *testing.T) {
 		t.Fatalf("forced supernodal: stats = (%d, %g, %v)", sn, width, active)
 	}
 
-	// The same analysis seeds a scalar-forced sibling: the clone must not
-	// inherit the forced panel mode.
-	symb, err := m.EnsureSymbolic()
+	m2, err := NewWithSymbolic(g, DefaultConfig(), symb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := DefaultConfig()
-	cfg2.Solver = SolverScalar
-	m2, err := NewWithSymbolic(g, cfg2, symb)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, active := m2.SupernodeStats(); !active {
+		t.Fatal("clone did not inherit the panel kernels")
 	}
+	forceKernel(t, m2, false)
 	if err := m2.Step(0.1); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, active := m2.SupernodeStats(); active {
 		t.Fatal("scalar-forced clone runs the panel kernels")
+	}
+	if _, _, active := m.SupernodeStats(); !active {
+		t.Fatal("forcing the clone changed the source's kernels")
 	}
 }

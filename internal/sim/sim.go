@@ -79,11 +79,6 @@ type Config struct {
 	// RC overrides the thermal boundary configuration; zero value means
 	// rcnet.DefaultConfig().
 	RC *rcnet.Config
-	// Solver overrides the thermal linear solver (applied on top of RC or
-	// the default config): rcnet.SolverAuto (the zero value) keeps the
-	// cached-LDLᵀ direct solver, rcnet.SolverCG forces the iterative
-	// path.
-	Solver rcnet.SolverKind
 	// ControllerCfg overrides the flow controller configuration (used by
 	// the ablation benches); nil means controller.DefaultConfig().
 	ControllerCfg *controller.Config
@@ -118,11 +113,6 @@ type Config struct {
 	// simulator; stepper.Adaptive takes long thermal macro-steps through
 	// thermally quiet stretches (see internal/stepper).
 	Stepper stepper.Config
-	// SolveWorkers > 1 enables level-parallel LDLᵀ factorization and
-	// triangular solves inside the thermal model, bit-identical to the
-	// serial sweeps at any worker count (see rcnet.Model.SetSolveWorkers).
-	// 0 or 1 keeps the serial solver.
-	SolveWorkers int
 	// BatchCounters, when non-nil, accumulates multi-RHS batch-solve
 	// statistics whenever this run is co-scheduled with platform-sharing
 	// runs by RunAll (see rcnet.BatchCounters). Safe to share across
@@ -296,9 +286,6 @@ func (cfg Config) PlatformSpec() (platform.Spec, error) {
 	if cfg.RC != nil {
 		rcCfg = *cfg.RC
 	}
-	if cfg.Solver != rcnet.SolverAuto {
-		rcCfg.Solver = cfg.Solver
-	}
 	spec := platform.Spec{
 		Layers: cfg.Layers,
 		Liquid: cfg.Cooling != Air,
@@ -344,9 +331,6 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 	model, err := p.NewModel(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.SolveWorkers > 1 {
-		model.SetSolveWorkers(cfg.SolveWorkers)
 	}
 	s := &Sim{Cfg: cfg, Stack: stack, Model: model, cores: stack.Cores()}
 
