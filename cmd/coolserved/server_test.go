@@ -408,9 +408,23 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 // nothing about the results).
 func TestMetricsWarmSecondJob(t *testing.T) {
 	_, ts := testServer(t)
+	metrics := func() metricsView {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m metricsView
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 
 	a := submit(t, ts, quickBody)
 	va := waitStatus(t, ts, a, statusDone, 60*time.Second)
+	cold := metrics().PlatformCache
 	b := submit(t, ts, quickBody)
 	vb := waitStatus(t, ts, b, statusDone, 60*time.Second)
 
@@ -420,15 +434,7 @@ func TestMetricsWarmSecondJob(t *testing.T) {
 		t.Errorf("warm report differs from cold:\ncold %s\nwarm %s", ra, rb)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m metricsView
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	m := metrics()
 	if m.Jobs.Done != 2 || m.Jobs.Started != 2 {
 		t.Errorf("jobs done=%d started=%d, want 2/2", m.Jobs.Done, m.Jobs.Started)
 	}
@@ -439,6 +445,11 @@ func TestMetricsWarmSecondJob(t *testing.T) {
 	if pc.LUTBuilds != 1 || pc.WeightBuilds != 1 || pc.SymbolicBuilds != 1 {
 		t.Errorf("builds lut=%d weights=%d symbolic=%d, want exactly 1 each",
 			pc.LUTBuilds, pc.WeightBuilds, pc.SymbolicBuilds)
+	}
+	// The warm job solves through the factors the cold one built.
+	if cold.FactorBuilds == 0 || pc.FactorBuilds != cold.FactorBuilds || pc.FactorHits <= cold.FactorHits {
+		t.Errorf("factor builds %d → %d, hits %d → %d: want builds unchanged and hits grown by the warm job",
+			cold.FactorBuilds, pc.FactorBuilds, cold.FactorHits, pc.FactorHits)
 	}
 }
 

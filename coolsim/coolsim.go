@@ -116,8 +116,9 @@ type Scenario struct {
 	Seed int64 `json:"seed,omitempty"`
 	// DPM enables the fixed-timeout sleep policy.
 	DPM bool `json:"dpm,omitempty"`
-	// GridNX, GridNY default to 23×20 when zero. Negative values fail
-	// validation with ErrBadGrid.
+	// GridNX, GridNY default to 23×20 when both are zero. Negative
+	// values, or exactly one of them zero, fail validation with
+	// ErrBadGrid.
 	GridNX int `json:"grid_nx,omitempty"`
 	GridNY int `json:"grid_ny,omitempty"`
 	// ControlEvery is the flow-controller decision cadence in base ticks
@@ -452,10 +453,11 @@ func parsePolicy(s string) (sched.Policy, error) {
 	}
 }
 
-// checkGrid rejects negative grid dimensions; zero keeps the default.
+// checkGrid rejects negative grid dimensions and a half-specified grid
+// (one dimension 0, the other set); 0×0 keeps the default.
 func checkGrid(nx, ny int) error {
-	if nx < 0 || ny < 0 {
-		return fmt.Errorf("%w: %dx%d (want positive, or 0 for the default)", ErrBadGrid, nx, ny)
+	if nx < 0 || ny < 0 || (nx == 0) != (ny == 0) {
+		return fmt.Errorf("%w: %dx%d (want both positive, or both 0 for the default)", ErrBadGrid, nx, ny)
 	}
 	return nil
 }

@@ -40,6 +40,8 @@ func TestTypedScenarioErrors(t *testing.T) {
 		{func(sc *Scenario) { sc.Policy = "rr" }, ErrUnknownPolicy},
 		{func(sc *Scenario) { sc.Layers = 5 }, ErrBadLayers},
 		{func(sc *Scenario) { sc.GridNX = -5 }, ErrBadGrid},
+		{func(sc *Scenario) { sc.GridNX, sc.GridNY = 10, 0 }, ErrBadGrid},
+		{func(sc *Scenario) { sc.GridNX, sc.GridNY = 0, 10 }, ErrBadGrid},
 	}
 	for _, c := range cases {
 		sc := quickScenario()
@@ -247,6 +249,9 @@ func TestOptionsOverrideScenario(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), sc, WithGrid(14, -12)); !errors.Is(err, ErrBadGrid) {
 		t.Errorf("WithGrid(14, -12) = %v, want ErrBadGrid", err)
+	}
+	if _, err := Run(context.Background(), sc, WithGrid(14, 0)); !errors.Is(err, ErrBadGrid) {
+		t.Errorf("WithGrid(14, 0) = %v, want ErrBadGrid", err)
 	}
 	// A 10× coarser tick yields ~10× fewer samples.
 	r, err := Run(context.Background(), sc, WithTick(1.0))

@@ -19,7 +19,7 @@ var (
 	// ErrBadLayers: Scenario.Layers is not 2 or 4.
 	ErrBadLayers = errors.New("coolsim: unsupported layer count")
 	// ErrBadGrid: a grid dimension (Scenario.GridNX/GridNY or WithGrid)
-	// is negative.
+	// is negative, or exactly one of the two is 0.
 	ErrBadGrid = errors.New("coolsim: bad grid resolution")
 	// ErrBadControlEvery: the flow-controller decision period
 	// (Scenario.ControlEvery / WithControlEvery) is negative.

@@ -96,6 +96,8 @@ func TestGridValidation(t *testing.T) {
 		{-5, 20, "", ErrBadGrid},
 		{23, -1, "", ErrBadGrid},
 		{-5, -5, "", ErrBadGrid},
+		{10, 0, "", ErrBadGrid},
+		{0, 10, "", ErrBadGrid},
 	}
 	for _, c := range cases {
 		sc := DefaultScenario()

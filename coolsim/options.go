@@ -32,8 +32,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithGrid overrides the thermal grid resolution of every scenario in the
-// call, taking precedence over Scenario.GridNX/GridNY. Negative values
-// fail with ErrBadGrid.
+// call, taking precedence over Scenario.GridNX/GridNY; WithGrid(0, 0)
+// keeps the scenarios' grids. Negative values, or exactly one of the two
+// 0, fail with ErrBadGrid.
 func WithGrid(nx, ny int) Option {
 	return func(c *config) { c.gridNX, c.gridNY = nx, ny }
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // PlatformCache shares the expensive per-stack artifacts — floorplan,
-// thermal grid, pump model, the direct solver's symbolic analysis, the
-// flow-rate controller's lookup table and the TALB weight table — across
+// thermal grid, pump model, the assembled thermal system with the direct
+// solver's symbolic analysis and numeric factors, the flow-rate
+// controller's lookup table and the TALB weight table — across
 // every Run, RunMany call and Session that uses it (WithPlatformCache).
 // Scenarios that only differ in policy, workload, seed, duration or
 // faults share one platform; each artifact is built at most once, by the
@@ -73,6 +74,13 @@ type PlatformCacheStats struct {
 	// (0 until an analysis has been built).
 	Supernodes     int     `json:"supernodes"`
 	MeanPanelWidth float64 `json:"mean_panel_width"`
+	// FactorBuilds counts the numeric LDLᵀ factorizations of the live
+	// platforms' shared (flow, dt) factor caches, FactorHits the lookups
+	// they served without factorizing and FactorEvictions their LRU
+	// drops. A warm second run of a batch leaves FactorBuilds unchanged.
+	FactorBuilds    int64 `json:"factor_builds"`
+	FactorHits      int64 `json:"factor_hits"`
+	FactorEvictions int64 `json:"factor_evictions"`
 }
 
 // Stats snapshots the cache counters (the coolserved metrics endpoint
@@ -91,6 +99,9 @@ func (pc *PlatformCache) Stats() PlatformCacheStats {
 		WeightDiskLoads: st.Builds.WeightDiskLoads,
 		Supernodes:      st.Builds.Supernodes,
 		MeanPanelWidth:  st.Builds.MeanPanelWidth,
+		FactorBuilds:    st.Builds.FactorBuilds,
+		FactorHits:      st.Builds.FactorHits,
+		FactorEvictions: st.Builds.FactorEvictions,
 	}
 }
 

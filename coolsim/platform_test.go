@@ -143,3 +143,41 @@ func TestPlatformCacheLRU(t *testing.T) {
 		t.Errorf("misses = %d, want 3 (re-build after eviction)", got)
 	}
 }
+
+// TestRunManyWarmSharesFactors: the numeric LDLᵀ factors live on the
+// platform, so a second RunMany of the same batch on a primed cache
+// factorizes nothing — every (flow, dt) key is served from the shared
+// factor cache — and its reports are identical to the first run's.
+func TestRunManyWarmSharesFactors(t *testing.T) {
+	ctx := context.Background()
+	air := warmScenario("gzip", 4)
+	air.Cooling, air.Policy = CoolingAir, PolicyLB
+	scs := []Scenario{warmScenario("Web-med", 1), warmScenario("gzip", 2), air}
+	pc := NewPlatformCache(0)
+	first, err := RunMany(ctx, scs, WithPlatformCache(pc), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	primed := pc.Stats()
+	if primed.FactorBuilds == 0 {
+		t.Fatal("the first run factorized nothing")
+	}
+	second, err := RunMany(ctx, scs, WithPlatformCache(pc), WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := pc.Stats()
+	if got := warm.FactorBuilds - primed.FactorBuilds; got != 0 {
+		t.Errorf("warm RunMany performed %d factor builds, want 0", got)
+	}
+	if warm.FactorHits <= primed.FactorHits {
+		t.Errorf("warm RunMany served no factor from the cache: hits %d → %d",
+			primed.FactorHits, warm.FactorHits)
+	}
+	if warm.FactorEvictions != 0 {
+		t.Errorf("factor evictions = %d, want 0", warm.FactorEvictions)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("warm RunMany reports differ from the first run's")
+	}
+}

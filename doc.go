@@ -12,8 +12,9 @@
 // options (WithWorkers, WithGrid, WithTick, WithStepper, WithObserver,
 // WithPlatformCache), typed errors, and the offline
 // Analysis sweeps.
-// Runs sharing a stack shape share their expensive setup — grid, solver
-// symbolic analysis, controller LUT and weight tables — through a
+// Runs sharing a stack shape share their expensive setup — grid,
+// assembled thermal network, solver symbolic analysis and numeric
+// factors, controller LUT and weight tables — through a
 // PlatformCache (internal/platform underneath), built once and reused by
 // any number of concurrent runs, sessions and service jobs. Everything
 // under internal/ is an implementation detail; a CI guard keeps the
@@ -36,8 +37,9 @@
 // parallel experiment engine (the -workers flag on cmd/repro and
 // cmd/coolsim, experiments.Options.Workers, sim.RunAll) and the thermal
 // solver: a cached sparse LDLᵀ direct factorization (symbolic analysis
-// once per stack shape, numeric factors cached per flow setting and time
-// step, two allocation-free triangular sweeps per tick). It is the only
+// once per stack shape, numeric factors cached per stack shape, flow
+// setting and time step and shared read-only by its runs, two
+// allocation-free triangular sweeps per tick). It is the only
 // solve path: every system the simulator assembles is SPD (tested), and
 // a factorization failure is an error, not a switch to another solver.
 // On grids where the amalgamated elimination tree yields wide enough

@@ -45,11 +45,11 @@ func (d *Dense) Reshape(rows, cols int) *Dense {
 	return d
 }
 
-// growFloats returns s resized to n, reusing its backing array when
-// possible. Contents are undefined.
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to n, reusing its backing array when possible.
+// Contents are undefined, except that a reallocated slice is zeroed.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -135,7 +135,7 @@ func (w *Workspace) SolveLU(a *Dense, b []float64) ([]float64, error) {
 		}
 	}
 	// Forward substitution with permuted rhs.
-	w.x = growFloats(w.x, n)
+	w.x = grow(w.x, n)
 	x := w.x
 	for i := 0; i < n; i++ {
 		x[i] = b[perm[i]]
@@ -172,7 +172,7 @@ func (w *Workspace) LeastSquares(a *Dense, b []float64) ([]float64, error) {
 	}
 	n := a.Cols
 	ata := w.ata.Reshape(n, n)
-	w.atb = growFloats(w.atb, n)
+	w.atb = grow(w.atb, n)
 	atb := w.atb
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {

@@ -18,13 +18,14 @@ var ErrNotPositiveDefinite = errors.New("mat: matrix not positive definite")
 // sharing that structure (the thermal solver re-factors the same Laplacian
 // whenever the coolant flow setting or the time step changes).
 //
-// A symbolic object carries the scratch buffers of Factorize and Solve, so
-// neither allocates; consequently it must not be used from more than one
-// goroutine at a time.
+// The analysis holds no scratch: Factorize and Solve run in an
+// LDLWorkspace owned by the caller, so a finished analysis is immutable
+// and safe for concurrent use by any number of goroutines. The one
+// exception is SetSupernodal, which changes the kernel family and must
+// only be called on an analysis nobody else is using.
 type LDLSymbolic struct {
-	n      int
-	nnzA   int    // stored entries of the analyzed matrix (structure check)
-	fprint uint64 // fingerprint of the analyzed sparsity pattern (Matches)
+	n    int
+	nnzA int // stored entries of the analyzed matrix (structure check)
 
 	perm []int // perm[k] = original index of the node eliminated k-th
 	pinv []int // pinv[perm[k]] = k
@@ -41,12 +42,18 @@ type LDLSymbolic struct {
 	// (int32 halves the index traffic of the two solve sweeps, the
 	// per-tick hot path; 2³¹ nodes is far beyond any grid here)
 
-	// Supernode partition and padded panel structure (immutable, shared
-	// by Clone); superOn selects the dense-panel kernels per instance.
+	// Supernode partition and padded panel structure (immutable);
+	// superOn selects the dense-panel kernels.
 	super   *superState
 	superOn bool
+}
 
-	// Scratch.
+// LDLWorkspace is the mutable scratch of Factorize, Solve and SolveBatch.
+// The zero value is ready: buffers grow on first use to the size the
+// analysis needs and are reused after, so steady-state solves allocate
+// nothing. A workspace may serve any number of factors (of any analysis)
+// but only one goroutine at a time.
+type LDLWorkspace struct {
 	y       []float64
 	pattern []int
 	flag    []int
@@ -62,10 +69,12 @@ type LDLSymbolic struct {
 	sbtmp   []float64 // supernodal batch below-row gather, grown on demand
 }
 
-// LDLNumeric holds the numeric factors of one matrix: PAPᵀ = L·D·Lᵀ with
-// unit lower-triangular L (pattern in the shared LDLSymbolic) and positive
-// diagonal D.
-type LDLNumeric struct {
+// LDLFactor holds the numeric factors of one matrix: PAPᵀ = L·D·Lᵀ with
+// unit lower-triangular L (pattern in the LDLSymbolic) and positive
+// diagonal D. A factor built by NewFactor is never written again, so it
+// is safe for concurrent read-only use: any number of LDLNumeric handles,
+// each with its own workspace, may solve through it at once.
+type LDLFactor struct {
 	s    *LDLSymbolic
 	lx   []float64
 	d    []float64
@@ -76,66 +85,26 @@ type LDLNumeric struct {
 	super bool
 }
 
+// LDLNumeric is a handle on numeric factors plus the workspace its solves
+// run in. Handles are cheap values: Bind makes another handle over the
+// same factors for another user.
+type LDLNumeric struct {
+	*LDLFactor
+	ws *LDLWorkspace
+}
+
+// Bind returns a handle that solves through f in ws. The factors are
+// shared, not copied.
+func (f *LDLFactor) Bind(ws *LDLWorkspace) LDLNumeric {
+	return LDLNumeric{LDLFactor: f, ws: ws}
+}
+
 // N returns the system dimension.
 func (s *LDLSymbolic) N() int { return s.n }
-
-// Clone returns a symbolic analysis that shares the immutable products of
-// AnalyzeLDL — the fill-reducing permutation, the permuted upper triangle,
-// the elimination tree, the complete pattern of L (column pointers and row
-// indices) — but owns its scratch buffers. The clone can therefore factorize and solve
-// concurrently with the original (and with other clones), which is what
-// lets one expensive analysis serve every model of a shared platform.
-// Cloning costs a handful of O(n) allocations; the ordering and symbolic
-// passes are not repeated. The supernode partition is shared too and the
-// mode flag copied.
-func (s *LDLSymbolic) Clone() *LDLSymbolic {
-	return &LDLSymbolic{
-		n:      s.n,
-		nnzA:   s.nnzA,
-		fprint: s.fprint,
-		perm:   s.perm,
-		pinv:   s.pinv,
-		cp:     s.cp, ci: s.ci, csrc: s.csrc,
-		parent:  s.parent,
-		lp:      s.lp,
-		li:      s.li,
-		super:   s.super,
-		superOn: s.superOn,
-		y:       make([]float64, s.n),
-		pattern: make([]int, s.n),
-		flag:    make([]int, s.n),
-		lnz:     make([]int, s.n),
-		w:       make([]float64, s.n),
-	}
-}
 
 // NNZL returns the stored entry count of the L factor (fill diagnostics;
 // excludes the unit diagonal and D).
 func (s *LDLSymbolic) NNZL() int { return s.lp[s.n] }
-
-// Matches reports whether a has the sparsity structure this analysis was
-// performed for: dimension, stored-entry count and a fingerprint of the
-// actual pattern (two grids can agree on n and nnz — e.g. an nx×ny vs
-// ny×nx discretization — while their adjacency differs; factorizing
-// through the wrong pattern would silently scatter entries to the wrong
-// slots, so the pattern itself is checked).
-func (s *LDLSymbolic) Matches(a *CSR) bool {
-	return a.N == s.n && a.NNZ() == s.nnzA && structFingerprint(a) == s.fprint
-}
-
-// structFingerprint hashes a matrix's sparsity pattern (FNV-1a over the
-// row pointers and column indices; values are ignored).
-func structFingerprint(a *CSR) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, p := range a.RowPtr {
-		h = (h ^ uint64(p)) * prime
-	}
-	for _, c := range a.Col {
-		h = (h ^ uint64(c)) * prime
-	}
-	return h
-}
 
 // AnalyzeLDL performs the symbolic analysis of a: it computes the
 // fill-reducing ordering, the elimination tree of the permuted matrix and
@@ -146,10 +115,9 @@ func structFingerprint(a *CSR) uint64 {
 func AnalyzeLDL(a *CSR, ord Ordering) (*LDLSymbolic, error) {
 	n := a.N
 	s := &LDLSymbolic{
-		n:      n,
-		nnzA:   a.NNZ(),
-		fprint: structFingerprint(a),
-		perm:   ord.Permutation(a),
+		n:    n,
+		nnzA: a.NNZ(),
+		perm: ord.Permutation(a),
 	}
 	if len(s.perm) != n {
 		return nil, fmt.Errorf("mat: ordering produced %d of %d nodes", len(s.perm), n)
@@ -194,89 +162,129 @@ func AnalyzeLDL(a *CSR, ord Ordering) (*LDLSymbolic, error) {
 	// pass): row k's pattern is the union of the etree paths from the
 	// above-diagonal entries of column k up to k.
 	s.parent = make([]int, n)
-	s.flag = make([]int, n)
-	s.lnz = make([]int, n)
+	flag := make([]int, n)
+	lnz := make([]int, n)
 	for k := 0; k < n; k++ {
 		s.parent[k] = -1
-		s.flag[k] = k
+		flag[k] = k
 		for p := s.cp[k]; p < s.cp[k+1]; p++ {
-			for i := s.ci[p]; s.flag[i] != k; i = s.parent[i] {
+			for i := s.ci[p]; flag[i] != k; i = s.parent[i] {
 				if s.parent[i] < 0 {
 					s.parent[i] = k
 				}
-				s.lnz[i]++
-				s.flag[i] = k
+				lnz[i]++
+				flag[i] = k
 			}
 		}
 	}
 	s.lp = make([]int, n+1)
 	for k := 0; k < n; k++ {
-		s.lp[k+1] = s.lp[k] + s.lnz[k]
+		s.lp[k+1] = s.lp[k] + lnz[k]
 	}
 
 	// Fill the row indices of L with a second reach pass. Row k of L
 	// appends k to every column i in its pattern, and successive k are
 	// appended in ascending order — exactly the positions the up-looking
-	// numeric factorization writes — so the pattern becomes immutable and
-	// Clone can share it. lnz doubles as the per-column cursor (Factorize
-	// re-derives it row by row anyway).
+	// numeric factorization writes — so the pattern is immutable from
+	// here on. lnz doubles as the per-column cursor.
 	s.li = make([]int32, s.lp[n])
-	for i := range s.lnz {
-		s.lnz[i] = 0
-	}
+	clear(lnz)
 	for k := 0; k < n; k++ {
-		s.flag[k] = k
+		flag[k] = k
 		for p := s.cp[k]; p < s.cp[k+1]; p++ {
-			for i := s.ci[p]; s.flag[i] != k; i = s.parent[i] {
-				s.li[s.lp[i]+s.lnz[i]] = int32(k)
-				s.lnz[i]++
-				s.flag[i] = k
+			for i := s.ci[p]; flag[i] != k; i = s.parent[i] {
+				s.li[s.lp[i]+lnz[i]] = int32(k)
+				lnz[i]++
+				flag[i] = k
 			}
 		}
 	}
 
 	// Supernode partition (dense-panel layer): computed once here from
-	// the finished etree/pattern, shared by Clone. The dense-panel
-	// kernels are selected by default exactly when the partition is
-	// profitable; SetSupernodal overrides per instance.
+	// the finished etree/pattern. The dense-panel kernels are selected by
+	// default exactly when the partition is profitable; SetSupernodal
+	// overrides it.
 	s.buildSupernodes(maxSuperWidth, true)
 	s.superOn = s.SupernodalProfitable()
-
-	s.y = make([]float64, n)
-	s.pattern = make([]int, n)
-	s.w = make([]float64, n)
 	return s, nil
 }
 
 // Factorize computes the numeric LDLᵀ factors of a, which must have
 // exactly the sparsity structure that was analyzed (the thermal solver
 // rewrites values — the diagonal — on the fixed-structure system matrix).
-// f is reused when non-nil (its buffers are overwritten); pass nil to
-// allocate a fresh factor. Returns ErrNotPositiveDefinite (wrapped) when a
-// pivot is ≤ 0.
+// f is reused when non-nil: its factors are overwritten in place (so f
+// must not be shared with other users) and its workspace serves as
+// scratch. Pass nil for a fresh handle with its own workspace. Returns
+// ErrNotPositiveDefinite (wrapped) when a pivot is ≤ 0.
 func (s *LDLSymbolic) Factorize(a *CSR, f *LDLNumeric) (*LDLNumeric, error) {
+	if err := s.checkStructure(a); err != nil {
+		return nil, err
+	}
+	if f == nil {
+		f = &LDLNumeric{ws: new(LDLWorkspace)}
+	}
+	if f.LDLFactor == nil || f.s != s || f.super != s.superOn {
+		f.LDLFactor = s.newFactor()
+	}
+	if err := s.factorize(a, f.LDLFactor, f.ws); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// NewFactor computes fresh numeric LDLᵀ factors of a (see Factorize),
+// using ws as scratch. The result is never written again: it is safe to
+// share read-only and to solve through concurrently, each user binding it
+// to its own workspace (LDLFactor.Bind).
+func (s *LDLSymbolic) NewFactor(a *CSR, ws *LDLWorkspace) (*LDLFactor, error) {
+	if err := s.checkStructure(a); err != nil {
+		return nil, err
+	}
+	f := s.newFactor()
+	if err := s.factorize(a, f, ws); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// checkStructure rejects a matrix whose dimension or stored-entry count
+// differs from the analyzed one.
+func (s *LDLSymbolic) checkStructure(a *CSR) error {
 	if a.N != s.n || a.NNZ() != s.nnzA {
-		return nil, fmt.Errorf("mat: Factorize structure mismatch: got %d×%d nnz %d, analyzed %d×%d nnz %d",
+		return fmt.Errorf("mat: Factorize structure mismatch: got %d×%d nnz %d, analyzed %d×%d nnz %d",
 			a.N, a.N, a.NNZ(), s.n, s.n, s.nnzA)
 	}
-	if f == nil || f.s != s || f.super != s.superOn {
-		nx := s.lp[s.n]
-		if s.superOn {
-			nx = s.super.panelNNZ
-		}
-		f = &LDLNumeric{
-			s:     s,
-			lx:    make([]float64, nx),
-			d:     make([]float64, s.n),
-			invd:  make([]float64, s.n),
-			super: s.superOn,
-		}
-	}
+	return nil
+}
+
+// newFactor allocates factor storage in the current kernel layout.
+func (s *LDLSymbolic) newFactor() *LDLFactor {
+	nx := s.lp[s.n]
 	if s.superOn {
-		return s.factorizeSuper(a, f)
+		nx = s.super.panelNNZ
+	}
+	return &LDLFactor{
+		s:     s,
+		lx:    make([]float64, nx),
+		d:     make([]float64, s.n),
+		invd:  make([]float64, s.n),
+		super: s.superOn,
+	}
+}
+
+// factorize writes the numeric factors of a into f (laid out for the
+// layout it was allocated in) with ws as scratch. The structure of a has
+// been checked.
+func (s *LDLSymbolic) factorize(a *CSR, f *LDLFactor, ws *LDLWorkspace) error {
+	if f.super {
+		return s.factorizeSuper(a, f, ws)
 	}
 	n := s.n
-	y, pattern, flag, lnz := s.y, s.pattern, s.flag, s.lnz
+	ws.y = grow(ws.y, n)
+	ws.pattern = grow(ws.pattern, n)
+	ws.flag = grow(ws.flag, n)
+	ws.lnz = grow(ws.lnz, n)
+	y, pattern, flag, lnz := ws.y, ws.pattern, ws.flag, ws.lnz
 	for k := 0; k < n; k++ {
 		// Pattern of row k of L via elimination-tree reach, values of
 		// column k of the permuted upper triangle scattered into y.
@@ -316,44 +324,47 @@ func (s *LDLSymbolic) Factorize(a *CSR, f *LDLNumeric) (*LDLNumeric, error) {
 			dk -= lki * yi
 		}
 		if dk <= 0 {
-			// Leave y clean for the next attempt.
-			for i := range y {
-				y[i] = 0
-			}
-			return nil, fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, dk, k)
+			// Leave y clean for the workspace's next factorization.
+			clear(y)
+			return fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, dk, k)
 		}
 		f.d[k] = dk
 		f.invd[k] = 1 / dk
 	}
-	return f, nil
+	return nil
 }
 
-// Solve computes x = A⁻¹·b through the cached factors: permute, one
-// forward sweep through L, the diagonal scaling, one backward sweep
-// through Lᵀ, permute back. x and b must have length N and may alias. It
-// never allocates — this is the per-tick hot path of the transient
-// thermal solver.
+// Solve computes x = A⁻¹·b through the factors: permute, one forward
+// sweep through L, the diagonal scaling, one backward sweep through Lᵀ,
+// permute back. x and b must have length N and may alias. It never
+// allocates once the handle's workspace has grown — this is the per-tick
+// hot path of the transient thermal solver.
 func (f *LDLNumeric) Solve(x, b []float64) {
 	s := f.s
 	n := s.n
 	if len(x) != n || len(b) != n {
 		panic("mat: LDL Solve dimension mismatch")
 	}
-	if f.super {
-		w := s.w
-		for k := 0; k < n; k++ {
-			w[k] = b[s.perm[k]]
-		}
-		f.solveSuper()
-		for k := 0; k < n; k++ {
-			x[s.perm[k]] = w[k]
-		}
-		return
-	}
-	w := s.w
+	f.ws.w = grow(f.ws.w, n)
+	w := f.ws.w
 	for k := 0; k < n; k++ {
 		w[k] = b[s.perm[k]]
 	}
+	if f.super {
+		f.solveSuper(w)
+	} else {
+		f.solveScalar(w)
+	}
+	for k := 0; k < n; k++ {
+		x[s.perm[k]] = w[k]
+	}
+}
+
+// solveScalar runs the column-kernel sweeps over the permuted work
+// vector w.
+func (f *LDLFactor) solveScalar(w []float64) {
+	s := f.s
+	n := s.n
 	for j := 0; j < n; j++ {
 		wj := w[j]
 		if wj == 0 {
@@ -372,8 +383,5 @@ func (f *LDLNumeric) Solve(x, b []float64) {
 			wj -= f.lx[p] * w[s.li[p]]
 		}
 		w[j] = wj
-	}
-	for k := 0; k < n; k++ {
-		x[s.perm[k]] = w[k]
 	}
 }

@@ -14,7 +14,7 @@ package mat
 //
 // Each xs[r]/bs[r] must have length N; xs[r] may alias bs[r]. Like
 // Solve, SolveBatch allocates nothing in steady state: the panel scratch
-// lives on the symbolic object and is grown once per high-water k.
+// lives in the handle's workspace and is grown once per high-water k.
 func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 	s := f.s
 	n := s.n
@@ -34,10 +34,8 @@ func (f *LDLNumeric) SolveBatch(xs, bs [][]float64) {
 			panic("mat: LDL SolveBatch dimension mismatch")
 		}
 	}
-	if cap(s.wb) < n*k {
-		s.wb = make([]float64, n*k)
-	}
-	wb := s.wb[: n*k : n*k]
+	f.ws.wb = grow(f.ws.wb, n*k)
+	wb := f.ws.wb[: n*k : n*k]
 
 	// Pack: permuted, node-major.
 	for i := 0; i < n; i++ {

@@ -58,8 +58,7 @@ const (
 )
 
 // superState is the supernode partition and its padded structure —
-// immutable once built, shared by Clone like the rest of the symbolic
-// analysis.
+// immutable once built, like the rest of the symbolic analysis.
 type superState struct {
 	nsn   int
 	snPtr []int32 // len nsn+1; supernode s covers permuted columns snPtr[s]..snPtr[s+1]
@@ -99,8 +98,8 @@ type superState struct {
 }
 
 // buildSupernodes computes the supernode partition and its padded
-// structure from the finished scalar analysis (parent, per-column counts
-// in lnz, and the full pattern lp/li). AnalyzeLDL runs it once with the
+// structure from the finished scalar analysis (parent and the full
+// pattern lp/li). AnalyzeLDL runs it once with the
 // production bounds; tests rebuild with maxW=1/relax=false to pin the
 // degenerate partition against the scalar path.
 func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
@@ -110,6 +109,10 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 	}
 	sp := &superState{}
 	s.super = sp
+	lnz := make([]int, n) // below-diagonal count of each column of L
+	for j := range lnz {
+		lnz[j] = s.lp[j+1] - s.lp[j]
+	}
 
 	// --- Fundamental supernodes, split at maxSuperWidth. Column j
 	// extends the run when its struct is the run's struct shifted by one:
@@ -118,7 +121,7 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 	width := 0
 	for j := 0; j < n; j++ {
 		if j == 0 || width == maxW ||
-			s.parent[j-1] != j || s.lnz[j-1] != s.lnz[j]+1 {
+			s.parent[j-1] != j || lnz[j-1] != lnz[j]+1 {
 			starts = append(starts, int32(j))
 			width = 1
 		} else {
@@ -142,9 +145,9 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 		w := int(starts[i+1]) - c0
 		entries := 0
 		for j := c0; j < c0+w; j++ {
-			entries += s.lnz[j] + 1
+			entries += lnz[j] + 1
 		}
-		b := s.lnz[c0] - (w - 1)
+		b := lnz[c0] - (w - 1)
 		minB := -1
 		if b > 0 {
 			minB = int(s.li[s.lp[c0]+w-1])
@@ -159,9 +162,9 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 			}
 			nEntries := 0
 			for j := nc0; j < nc0+nw; j++ {
-				nEntries += s.lnz[j] + 1
+				nEntries += lnz[j] + 1
 			}
-			nb := s.lnz[nc0] - (nw - 1)
+			nb := lnz[nc0] - (nw - 1)
 			mw := w + nw
 			nr := mw + nb
 			stored := mw*nr - mw*(mw-1)/2
@@ -365,10 +368,12 @@ func (s *LDLSymbolic) buildSupernodes(maxW int, relax bool) {
 }
 
 // SetSupernodal selects the dense-panel kernels (true) or the scalar
-// column kernels (false) for this symbolic object's Factorize/Solve/
-// SolveBatch. AnalyzeLDL defaults the mode through SupernodalProfitable;
-// clones inherit the setting. Switching modes re-lays-out the numeric
-// factor on the next Factorize (a reused LDLNumeric is reallocated once).
+// column kernels (false) for factors built from this analysis from now
+// on. AnalyzeLDL defaults the mode through SupernodalProfitable; tests
+// and kernel benchmarks force either family on an analysis they own.
+// Existing factors keep the layout they were built in (a reused
+// LDLNumeric is reallocated once by its next Factorize). Not safe while
+// other goroutines use the analysis.
 func (s *LDLSymbolic) SetSupernodal(on bool) {
 	s.superOn = on && s.super != nil
 }
@@ -414,43 +419,19 @@ func (s *LDLSymbolic) SupernodalProfitable() bool {
 		s.MeanPanelWidth() >= supernodalMinMeanWidth
 }
 
-// ensureSuperSolveScratch sizes the supernodal solve scratch
-// (amortized: grown once, then the per-tick path allocates nothing).
-func (s *LDLSymbolic) ensureSuperSolveScratch() {
-	sp := s.super
-	if cap(s.sacc) < sp.maxW {
-		s.sacc = make([]float64, sp.maxW)
-	}
-	if cap(s.stmp) < sp.maxNr {
-		s.stmp = make([]float64, sp.maxNr)
-	}
-}
-
-// ensureSuperFactorScratch sizes the supernodal factorization scratch: the global row map, the local-index list and the dense
-// Schur-update buffer.
-func (s *LDLSymbolic) ensureSuperFactorScratch() {
-	sp := s.super
-	if cap(s.ssmap) < s.n {
-		s.ssmap = make([]int32, s.n)
-	}
-	if cap(s.sidx) < sp.maxNr {
-		s.sidx = make([]int32, sp.maxNr)
-	}
-	if cap(s.supd) < sp.maxNr*sp.maxW {
-		s.supd = make([]float64, sp.maxNr*sp.maxW)
-	}
-}
-
 // factorizeSuper is the supernodal numeric factorization: left-looking
 // over supernodes in elimination order.
-func (s *LDLSymbolic) factorizeSuper(a *CSR, f *LDLNumeric) (*LDLNumeric, error) {
-	s.ensureSuperFactorScratch()
-	for sn := 0; sn < s.super.nsn; sn++ {
-		if k, dk := f.factorSupernode(sn, a); k >= 0 {
-			return nil, fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, dk, k)
+func (s *LDLSymbolic) factorizeSuper(a *CSR, f *LDLFactor, ws *LDLWorkspace) error {
+	sp := s.super
+	ws.ssmap = grow(ws.ssmap, s.n)
+	ws.sidx = grow(ws.sidx, sp.maxNr)
+	ws.supd = grow(ws.supd, sp.maxNr*sp.maxW)
+	for sn := 0; sn < sp.nsn; sn++ {
+		if k, dk := f.factorSupernode(sn, a, ws); k >= 0 {
+			return fmt.Errorf("%w: pivot %g at permuted index %d", ErrNotPositiveDefinite, dk, k)
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // factorSupernode computes supernode sn's panel: scatter the fresh A
@@ -459,10 +440,10 @@ func (s *LDLSymbolic) factorizeSuper(a *CSR, f *LDLNumeric) (*LDLNumeric, error)
 // small dense LDLᵀ. On a non-positive pivot it records the first failing
 // column, poisons invd with 0 and finishes the panel; the caller turns
 // failK ≥ 0 into ErrNotPositiveDefinite.
-func (f *LDLNumeric) factorSupernode(sn int, a *CSR) (failK int, failDk float64) {
+func (f *LDLFactor) factorSupernode(sn int, a *CSR, ws *LDLWorkspace) (failK int, failDk float64) {
 	s := f.s
 	sp := s.super
-	smap, idx, upd := s.ssmap[:s.n], s.sidx, s.supd
+	smap, idx, upd := ws.ssmap, ws.sidx, ws.supd
 	c0 := int(sp.snPtr[sn])
 	w := int(sp.snPtr[sn+1]) - c0
 	r0 := int(sp.rowPtr[sn])
@@ -565,7 +546,7 @@ func (f *LDLNumeric) factorSupernode(sn int, a *CSR) (failK int, failDk float64)
 // contribution (accumulated first, subtracted once — the fixed order
 // shared with the batch path), then the dense unit-lower solve on the
 // diagonal block. acc is scratch of at least maxW.
-func (f *LDLNumeric) forwardSuper(sn int, w, acc []float64) {
+func (f *LDLFactor) forwardSuper(sn int, w, acc []float64) {
 	sp := f.s.super
 	c0 := int(sp.snPtr[sn])
 	wid := int(sp.snPtr[sn+1]) - c0
@@ -609,7 +590,7 @@ func (f *LDLNumeric) forwardSuper(sn int, w, acc []float64) {
 // gather the already-final ancestor values of the below rows into tmp,
 // subtract each column's dot product, then the transposed dense solve on
 // the diagonal block. tmp is scratch of at least maxNr.
-func (f *LDLNumeric) backwardSuper(sn int, w, tmp []float64) {
+func (f *LDLFactor) backwardSuper(sn int, w, tmp []float64) {
 	sp := f.s.super
 	c0 := int(sp.snPtr[sn])
 	wid := int(sp.snPtr[sn+1]) - c0
@@ -641,20 +622,20 @@ func (f *LDLNumeric) backwardSuper(sn int, w, tmp []float64) {
 }
 
 // solveSuper is the supernodal Solve body over the permuted work
-// vector (permutation handled by the caller).
-func (f *LDLNumeric) solveSuper() {
+// vector w (permutation handled by the caller).
+func (f *LDLNumeric) solveSuper(w []float64) {
 	s := f.s
-	s.ensureSuperSolveScratch()
 	sp := s.super
-	w := s.w
+	f.ws.sacc = grow(f.ws.sacc, sp.maxW)
+	f.ws.stmp = grow(f.ws.stmp, sp.maxNr)
 	for sn := 0; sn < sp.nsn; sn++ {
-		f.forwardSuper(sn, w, s.sacc)
+		f.forwardSuper(sn, w, f.ws.sacc)
 	}
 	for j := 0; j < s.n; j++ {
 		w[j] *= f.invd[j]
 	}
 	for sn := sp.nsn - 1; sn >= 0; sn-- {
-		f.backwardSuper(sn, w, s.stmp)
+		f.backwardSuper(sn, w, f.ws.stmp)
 	}
 }
 
@@ -667,14 +648,10 @@ func (f *LDLNumeric) solveSuper() {
 func (f *LDLNumeric) solveBatchSuper(wb []float64, kb int) {
 	s := f.s
 	sp := s.super
-	if cap(s.sbacc) < sp.maxW*kb {
-		s.sbacc = make([]float64, sp.maxW*kb)
-	}
-	if cap(s.sbtmp) < sp.maxNr*kb {
-		s.sbtmp = make([]float64, sp.maxNr*kb)
-	}
-	acc := s.sbacc
-	tmp := s.sbtmp
+	f.ws.sbacc = grow(f.ws.sbacc, sp.maxW*kb)
+	f.ws.sbtmp = grow(f.ws.sbtmp, sp.maxNr*kb)
+	acc := f.ws.sbacc
+	tmp := f.ws.sbtmp
 	for sn := 0; sn < sp.nsn; sn++ {
 		c0 := int(sp.snPtr[sn])
 		wid := int(sp.snPtr[sn+1]) - c0

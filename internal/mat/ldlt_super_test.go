@@ -166,12 +166,12 @@ func TestSupernodalDegenerateWidthOne(t *testing.T) {
 	}
 }
 
-// TestSupernodalCloneBitIdentical pins the determinism contract of the
-// dense-panel kernels: clones inherit the supernodal setting, and their
-// factorization and solves are bit-identical to the source's, run after
-// run. (The name matches CI's determinism regex, which reruns it under
-// -race at GOMAXPROCS=1 and 8.)
-func TestSupernodalCloneBitIdentical(t *testing.T) {
+// TestSupernodalSharedFactorBitIdentical pins the determinism contract
+// of the dense-panel kernels: a factor rebuilt in another workspace, run
+// after run, is bit-identical to the reference, and so are its solves.
+// (The name matches CI's determinism regex, which reruns it under -race
+// at GOMAXPROCS=1 and 8.)
+func TestSupernodalSharedFactorBitIdentical(t *testing.T) {
 	a := gridLaplacian(60, 50, 2)
 	rng := rand.New(rand.NewSource(3))
 	bvec := make([]float64, a.N)
@@ -179,43 +179,44 @@ func TestSupernodalCloneBitIdentical(t *testing.T) {
 		bvec[i] = rng.NormFloat64()
 	}
 
-	base, err := AnalyzeLDL(a, OrderAuto)
+	s, err := AnalyzeLDL(a, OrderAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.SetSupernodal(true)
-	fRef, err := base.Factorize(a, nil)
+	s.SetSupernodal(true)
+	fRef, err := s.Factorize(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	xRef := make([]float64, a.N)
 	fRef.Solve(xRef, bvec)
 
-	s := base.Clone()
-	if !s.Supernodal() {
-		t.Fatal("clone must inherit the supernodal setting")
-	}
+	ws := new(LDLWorkspace)
 	for run := 0; run < 2; run++ {
-		f, err := s.Factorize(a, nil)
+		fac, err := s.NewFactor(a, ws)
 		if err != nil {
 			t.Fatalf("run=%d: %v", run, err)
 		}
-		for i := range f.lx {
-			if math.Float64bits(f.lx[i]) != math.Float64bits(fRef.lx[i]) {
-				t.Fatalf("run=%d: lx[%d]=%x source %x",
-					run, i, math.Float64bits(f.lx[i]), math.Float64bits(fRef.lx[i]))
+		if !fac.super {
+			t.Fatal("factor must take the analysis' supernodal layout")
+		}
+		for i := range fac.lx {
+			if math.Float64bits(fac.lx[i]) != math.Float64bits(fRef.lx[i]) {
+				t.Fatalf("run=%d: lx[%d]=%x reference %x",
+					run, i, math.Float64bits(fac.lx[i]), math.Float64bits(fRef.lx[i]))
 			}
 		}
-		for i := range f.d {
-			if math.Float64bits(f.d[i]) != math.Float64bits(fRef.d[i]) {
+		for i := range fac.d {
+			if math.Float64bits(fac.d[i]) != math.Float64bits(fRef.d[i]) {
 				t.Fatalf("run=%d: d[%d] differs", run, i)
 			}
 		}
 		x := make([]float64, a.N)
-		f.Solve(x, bvec)
+		h := fac.Bind(ws)
+		h.Solve(x, bvec)
 		for i := range x {
 			if math.Float64bits(x[i]) != math.Float64bits(xRef[i]) {
-				t.Fatalf("run=%d: x[%d]=%g source %g", run, i, x[i], xRef[i])
+				t.Fatalf("run=%d: x[%d]=%g reference %g", run, i, x[i], xRef[i])
 			}
 		}
 	}
@@ -331,9 +332,8 @@ func TestSupernodalHotPathAllocFree(t *testing.T) {
 }
 
 // TestSupernodalNotPositiveDefinite: an indefinite system fails with
-// ErrNotPositiveDefinite reporting the same first pivot from the source
-// analysis and a clone, and the symbolic object stays reusable
-// afterwards.
+// ErrNotPositiveDefinite reporting the same first pivot through Factorize
+// and NewFactor, and the analysis stays reusable afterwards.
 func TestSupernodalNotPositiveDefinite(t *testing.T) {
 	nx, ny := 30, 20
 	good := gridLaplacian(nx, ny, 2)
@@ -354,12 +354,12 @@ func TestSupernodalNotPositiveDefinite(t *testing.T) {
 	if !errors.Is(srcErr, ErrNotPositiveDefinite) {
 		t.Fatalf("source: got %v, want ErrNotPositiveDefinite", srcErr)
 	}
-	_, cloneErr := s.Clone().Factorize(bad, nil)
-	if !errors.Is(cloneErr, ErrNotPositiveDefinite) {
-		t.Fatalf("clone: got %v", cloneErr)
+	_, wsErr := s.NewFactor(bad, new(LDLWorkspace))
+	if !errors.Is(wsErr, ErrNotPositiveDefinite) {
+		t.Fatalf("NewFactor: got %v", wsErr)
 	}
-	if cloneErr.Error() != srcErr.Error() {
-		t.Fatalf("clone error %q, source %q", cloneErr, srcErr)
+	if wsErr.Error() != srcErr.Error() {
+		t.Fatalf("NewFactor error %q, Factorize %q", wsErr, srcErr)
 	}
 	// Recovery: the same symbolic object factorizes the SPD system.
 	f, err := s.Factorize(good, nil)

@@ -2,8 +2,10 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -275,57 +277,26 @@ func TestLDLHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestMatchesRejectsDifferentPattern: a matrix with the same dimension
-// and nonzero count but a different sparsity pattern must not match the
-// analysis (a 4-node path vs a 4-node star both have n=4, nnz=10).
-func TestMatchesRejectsDifferentPattern(t *testing.T) {
-	build := func(edges [][2]int) *CSR {
-		b := NewBuilder(4)
-		for i := 0; i < 4; i++ {
-			b.Add(i, i, 4)
-		}
-		for _, e := range edges {
-			b.Add(e[0], e[1], -1)
-			b.Add(e[1], e[0], -1)
-		}
-		return b.Build()
-	}
-	path := build([][2]int{{0, 1}, {1, 2}, {2, 3}})
-	star := build([][2]int{{1, 0}, {1, 2}, {1, 3}})
-	s, err := AnalyzeLDL(path, OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Matches(path) {
-		t.Error("analysis must match its own matrix")
-	}
-	if path.NNZ() != star.NNZ() {
-		t.Fatalf("test premise broken: nnz %d vs %d", path.NNZ(), star.NNZ())
-	}
-	if s.Matches(star) {
-		t.Error("same-n same-nnz different-pattern matrix must not match")
-	}
-	if !s.Clone().Matches(path) {
-		t.Error("clone must carry the pattern fingerprint")
-	}
-}
-
-// TestCloneFactorizeBitIdentical pins the contract that lets one analysis
-// serve every model of a shared platform: a clone factorizes and solves
-// bit for bit like its source, on fresh and on recycled numeric objects,
-// through Solve and SolveBatch alike.
-func TestCloneFactorizeBitIdentical(t *testing.T) {
+// TestLDLSharedFactorParallel pins the contract that lets one factor
+// serve every model of a shared platform: factors built in different
+// workspaces are bit-identical, a refactorization into a reused handle
+// too, and goroutines solving through one factor concurrently — each
+// handle bound to its own workspace, through Solve and SolveBatch alike
+// — all get the single-threaded answer bit for bit. (The name matches
+// CI's determinism regex, which reruns it under -race at GOMAXPROCS=1
+// and 8.)
+func TestLDLSharedFactorParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cases := []*CSR{
 		gridLaplacian(40, 33, 2.5),
 		randSPD(900, 3, rng),
 	}
 	for ci, a := range cases {
-		src, err := AnalyzeLDL(a, OrderAuto)
+		s, err := AnalyzeLDL(a, OrderAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := src.Factorize(a, nil)
+		fs, err := s.Factorize(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,44 +306,63 @@ func TestCloneFactorizeBitIdentical(t *testing.T) {
 		}
 		wantX := make([]float64, a.N)
 		fs.Solve(wantX, bvec)
-		clone := src.Clone()
-		fc, err := clone.Factorize(a, nil)
+
+		shared, err := s.NewFactor(a, new(LDLWorkspace))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Refactorize into the same numeric object (the per-tick reuse
-		// path) before comparing.
-		if _, err := clone.Factorize(a, fc); err != nil {
+		// Refactorize into the same handle (the in-place reuse path).
+		if _, err := s.Factorize(a, fs); err != nil {
 			t.Fatal(err)
 		}
-		for i := range fs.d {
-			if math.Float64bits(fs.d[i]) != math.Float64bits(fc.d[i]) {
-				t.Fatalf("case %d: d[%d] %g vs source %g", ci, i, fc.d[i], fs.d[i])
-			}
-		}
-		for i := range fs.lx {
-			if math.Float64bits(fs.lx[i]) != math.Float64bits(fc.lx[i]) {
-				t.Fatalf("case %d: lx[%d] differs", ci, i)
-			}
-		}
-		x := make([]float64, a.N)
-		fc.Solve(x, bvec)
-		xs := [][]float64{make([]float64, a.N), make([]float64, a.N)}
-		fc.SolveBatch(xs, [][]float64{bvec, bvec})
-		for _, got := range append(xs, x) {
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(wantX[i]) {
-					t.Fatalf("case %d: clone x[%d]=%g vs source %g", ci, i, got[i], wantX[i])
+		for _, f := range []*LDLFactor{shared, fs.LDLFactor} {
+			for i := range f.d {
+				if math.Float64bits(f.d[i]) != math.Float64bits(shared.d[i]) {
+					t.Fatalf("case %d: d[%d] %g vs %g", ci, i, f.d[i], shared.d[i])
 				}
 			}
+			for i := range f.lx {
+				if math.Float64bits(f.lx[i]) != math.Float64bits(shared.lx[i]) {
+					t.Fatalf("case %d: lx[%d] differs", ci, i)
+				}
+			}
+		}
+
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h := shared.Bind(new(LDLWorkspace))
+				for rep := 0; rep < 3; rep++ {
+					x := make([]float64, a.N)
+					h.Solve(x, bvec)
+					xs := [][]float64{make([]float64, a.N), make([]float64, a.N)}
+					h.SolveBatch(xs, [][]float64{bvec, bvec})
+					for _, got := range append(xs, x) {
+						for i := range got {
+							if math.Float64bits(got[i]) != math.Float64bits(wantX[i]) {
+								errs <- fmt.Sprintf("case %d: shared x[%d]=%g vs %g", ci, i, got[i], wantX[i])
+								return
+							}
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
 		}
 	}
 }
 
 // TestLDLRecoversAfterNotPositiveDefinite: a failed factorization of a
-// same-structure indefinite matrix leaves the symbolic object's scratch
-// clean, so the next factorization of the SPD matrix is bit-identical to
-// one on a fresh analysis.
+// same-structure indefinite matrix leaves its workspace clean, so the
+// next factorization of the SPD matrix in that workspace is bit-identical
+// to one in a fresh workspace.
 func TestLDLRecoversAfterNotPositiveDefinite(t *testing.T) {
 	a := gridLaplacian(30, 20, 2)
 	s, err := AnalyzeLDL(a, OrderAuto)
@@ -382,16 +372,17 @@ func TestLDLRecoversAfterNotPositiveDefinite(t *testing.T) {
 	if s.Supernodal() {
 		t.Fatal("expected the scalar kernels at this size")
 	}
-	ref, err := s.Clone().Factorize(a, nil)
+	ref, err := s.Factorize(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws := new(LDLWorkspace)
 	a.AddAt(215, 215, -1e6)
-	if _, err := s.Factorize(a, nil); !errors.Is(err, ErrNotPositiveDefinite) {
+	if _, err := s.NewFactor(a, ws); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("indefinite: got %v, want ErrNotPositiveDefinite", err)
 	}
 	a.AddAt(215, 215, 1e6)
-	f, err := s.Factorize(a, nil)
+	f, err := s.NewFactor(a, ws)
 	if err != nil {
 		t.Fatalf("factorize after failure: %v", err)
 	}

@@ -192,17 +192,6 @@ func (m *CSR) DiagIndex(dst []int) error {
 	return nil
 }
 
-// Clone returns a deep copy sharing no storage with m.
-func (m *CSR) Clone() *CSR {
-	c := &CSR{
-		N:      m.N,
-		RowPtr: append([]int(nil), m.RowPtr...),
-		Col:    append([]int(nil), m.Col...),
-		Val:    append([]float64(nil), m.Val...),
-	}
-	return c
-}
-
 // IsSymmetric reports whether the matrix is symmetric to within tol.
 func (m *CSR) IsSymmetric(tol float64) bool {
 	for r := 0; r < m.N; r++ {

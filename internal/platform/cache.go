@@ -140,6 +140,9 @@ func (c *Cache) Stats() CacheStats {
 		st.Builds.LUTDiskLoads += ps.LUTDiskLoads
 		st.Builds.WeightDiskLoads += ps.WeightDiskLoads
 		st.Builds.Supernodes += ps.Supernodes
+		st.Builds.FactorBuilds += ps.FactorBuilds
+		st.Builds.FactorHits += ps.FactorHits
+		st.Builds.FactorEvictions += ps.FactorEvictions
 		nodes += ps.MeanPanelWidth * float64(ps.Supernodes)
 	}
 	// Node-weighted mean keeps the ratio exact across heterogeneous

@@ -1,9 +1,10 @@
-// Package platform owns the expensive, immutable artifacts of one
-// physical stack configuration — the floorplan, the discretized thermal
-// grid, the pump model, the LDLᵀ symbolic analysis of the thermal system
-// matrix, the flow-rate controller's lookup table and the TALB thermal
-// weight table — and shares them across any number of concurrent
-// simulation runs, sessions, experiment matrices and service jobs.
+// Package platform owns the expensive artifacts of one physical stack
+// configuration — the floorplan, the discretized thermal grid, the pump
+// model, the assembled thermal system with its LDLᵀ symbolic analysis and
+// (flow, dt) factor cache, the flow-rate controller's lookup table and the
+// TALB thermal weight table — and shares them across any number of
+// concurrent simulation runs, sessions, experiment matrices and service
+// jobs.
 //
 // The paper's evaluation (and a production deployment of the service) is
 // hundreds of (system, cooling, policy, workload) runs over the same few
@@ -15,10 +16,13 @@
 // failed build (a canceled context) is not cached, so a later caller
 // retries. Build counters make "was this warm?" testable.
 //
-// A Platform is immutable after construction and safe for unlimited
-// concurrent use. Mutable solver state is never shared: NewModel hands
-// every caller its own rcnet.Model, seeded with a private clone of the
-// shared symbolic analysis.
+// A Platform is safe for unlimited concurrent use. Its thermal system
+// (rcnet.System) is shared by every model NewModel hands out: the
+// assembly and the symbolic analysis are immutable, and the numeric
+// factors — one per (flow setting, dt), built once by whichever model
+// first needs them — sit in a bounded, singleflight LRU cache and are
+// read-only once built. Each model owns only its per-run state and its
+// solver workspace.
 package platform
 
 import (
@@ -32,7 +36,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/floorplan"
 	"repro/internal/grid"
-	"repro/internal/mat"
 	"repro/internal/power"
 	"repro/internal/pump"
 	"repro/internal/rcnet"
@@ -85,10 +88,12 @@ func (s Spec) String() string {
 }
 
 // Stats counts the expensive builds a platform has performed. Each
-// counter saturates at one over the platform's lifetime unless a build
-// failed and was retried; warm consumers observe the counters unchanged.
+// artifact counter saturates at one over the platform's lifetime unless a
+// build failed and was retried; warm consumers observe the counters
+// unchanged. The factor counters grow with each new (flow, dt) key.
 type Stats struct {
-	// SymbolicBuilds counts LDLᵀ symbolic analyses (orderings + fill).
+	// SymbolicBuilds counts thermal-system builds: assembly plus the LDLᵀ
+	// symbolic analysis (ordering + fill).
 	SymbolicBuilds int
 	// LUTBuilds counts flow-LUT steady-state sweeps.
 	LUTBuilds int
@@ -110,6 +115,12 @@ type Stats struct {
 	// ratio exact by node-weighting (see CacheStats).
 	Supernodes     int
 	MeanPanelWidth float64
+	// FactorBuilds, FactorHits and FactorEvictions count the shared
+	// (flow, dt) factor cache's numeric factorizations, lookups served
+	// from it, and LRU drops (see rcnet.FactorStats).
+	FactorBuilds    int64
+	FactorHits      int64
+	FactorEvictions int64
 }
 
 // once deduplicates one expensive build: the first caller executes it
@@ -185,7 +196,7 @@ type Platform struct {
 	dir   string     // artifact persistence directory ("" = memory only)
 
 	mu              sync.Mutex
-	symb            once[*mat.LDLSymbolic]
+	system          once[*rcnet.System]
 	lut             once[*controller.LUT]
 	weights         once[*controller.WeightTable]
 	fullLoad        once[[][]float64]
@@ -244,20 +255,16 @@ func (p *Platform) Grid() *grid.Grid { return p.grid }
 // Pump returns the shared pump model, nil for air-cooled platforms.
 func (p *Platform) Pump() *pump.Pump { return p.pump }
 
-// symbolic builds (once) the LDLᵀ symbolic analysis of the platform's
-// thermal system matrix, via a throwaway probe model.
-func (p *Platform) symbolic(ctx context.Context) (*mat.LDLSymbolic, error) {
-	return p.symb.get(ctx, &p.mu, func() (*mat.LDLSymbolic, error) {
-		probe, err := rcnet.New(p.grid, p.spec.RC)
-		if err != nil {
-			return nil, err
-		}
-		return probe.EnsureSymbolic()
+// thermal builds (once) the platform's thermal system: the assembled
+// network and the symbolic analysis of its system matrix.
+func (p *Platform) thermal(ctx context.Context) (*rcnet.System, error) {
+	return p.system.get(ctx, &p.mu, func() (*rcnet.System, error) {
+		return rcnet.NewSystem(p.grid, p.spec.RC)
 	})
 }
 
 // Warm eagerly builds the expensive artifacts a run on this platform
-// would otherwise build lazily at first use: the direct solver's
+// would otherwise build lazily at first use: the thermal system and its
 // symbolic analysis always, the flow LUT when lut is set (liquid
 // platforms only — the flag is ignored otherwise) and the TALB weight
 // table when weights is set. Builds go
@@ -266,7 +273,7 @@ func (p *Platform) symbolic(ctx context.Context) (*mat.LDLSymbolic, error) {
 // cached — the next caller retries. The campaign engine calls this once
 // per distinct platform shape before fanning members out.
 func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
-	if _, err := p.symbolic(ctx); err != nil {
+	if _, err := p.thermal(ctx); err != nil {
 		return err
 	}
 	if lut && p.spec.Liquid {
@@ -282,17 +289,19 @@ func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
 	return nil
 }
 
-// NewModel returns a fresh thermal model on the shared grid. Every model
-// owns its mutable state (temperatures, factors, scratch) and is seeded
-// with a private clone of the shared symbolic analysis, so per-model
-// construction skips the ordering and fill analysis entirely. ctx bounds
-// the wait on a concurrent symbolic build.
+// NewModel returns a fresh thermal model on the shared thermal system.
+// Every model owns its mutable state (temperatures, power, flow, solver
+// workspace) and shares the assembly, the symbolic analysis and the
+// factor cache, so per-model construction copies a few arrays and never
+// re-assembles, re-analyzes or — for a (flow, dt) key any model of the
+// platform already solved — re-factorizes. ctx bounds the wait on a
+// concurrent system build.
 func (p *Platform) NewModel(ctx context.Context) (*rcnet.Model, error) {
-	symb, err := p.symbolic(ctx)
+	sys, err := p.thermal(ctx)
 	if err != nil {
 		return nil, err
 	}
-	m, err := rcnet.NewWithSymbolic(p.grid, p.spec.RC, symb)
+	m, err := sys.NewModel()
 	if err != nil {
 		return nil, err
 	}
@@ -494,18 +503,21 @@ func (p *Platform) saveWeights(wt *controller.WeightTable) {
 // Stats returns the platform's build counters.
 func (p *Platform) Stats() Stats {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	st := Stats{
-		SymbolicBuilds:  p.symb.builds,
+		SymbolicBuilds:  p.system.builds,
 		LUTBuilds:       p.lut.builds - p.diskLoads,
 		WeightBuilds:    p.weights.builds - p.weightDiskLoads,
 		Models:          p.models,
 		LUTDiskLoads:    p.diskLoads,
 		WeightDiskLoads: p.weightDiskLoads,
 	}
-	if p.symb.built {
-		st.Supernodes = p.symb.val.Supernodes()
-		st.MeanPanelWidth = p.symb.val.MeanPanelWidth()
+	sys := p.system.val
+	p.mu.Unlock()
+	if sys != nil {
+		st.Supernodes = sys.Symbolic().Supernodes()
+		st.MeanPanelWidth = sys.Symbolic().MeanPanelWidth()
+		fs := sys.FactorStats()
+		st.FactorBuilds, st.FactorHits, st.FactorEvictions = fs.Builds, fs.Hits, fs.Evictions
 	}
 	return st
 }

@@ -89,18 +89,19 @@ func (c *BatchCounters) Snapshot() BatchSnapshot {
 	return s
 }
 
-// BatchStepper advances a set of models built on one shared platform in
+// BatchStepper advances a set of models built on one shared System in
 // lock-step, grouping the per-tick linear solves of models that share a
 // factorKey (same delivered flow, same dt) into single SolveBatch sweeps:
 // the factor's indices and values are streamed once for the whole group.
-// Per-model state — temperatures, coolant march, factor caches — stays
-// fully isolated; only the leader's numeric factor is shared, and models
-// whose key diverges fall back to their own serial Step path,
-// bit-identically.
+// Per-model state — temperatures, coolant march, solver workspace — stays
+// fully isolated; the group sweeps through the System's shared factor in
+// the leader's workspace, and models whose key diverges fall back to
+// their own serial Step path, bit-identically.
 //
 // A BatchStepper may be used from one goroutine at a time; distinct
 // steppers over distinct models may run concurrently (sharing at most
-// the immutable products of one symbolic analysis and the counters).
+// one System — its immutable analysis, read-only factors and
+// synchronized factor cache — and the counters).
 type BatchStepper struct {
 	ctr *BatchCounters
 
@@ -183,8 +184,8 @@ func (st *BatchStepper) Step(models []*Model, dt units.Second) error {
 }
 
 // solveGroup solves one key group. The leader (lowest model index)
-// acquires the factor through its own cache — identical cache traffic to
-// its serial Step — and the group sweeps once through it.
+// acquires the factor exactly as its serial Step would, and the group
+// sweeps once through it in the leader's workspace.
 func (st *BatchStepper) solveGroup(models []*Model, mem []int, dtF float64) error {
 	lead := models[mem[0]]
 	if len(mem) == 1 {

@@ -10,47 +10,61 @@ import (
 	"repro/internal/units"
 )
 
-// buildFleet builds n models of one liquid-cooled stack sharing a single
-// symbolic analysis — the platform wiring — with per-model power maps.
+// fleetSystem builds the shared system of the test fleets: the 2-layer
+// liquid-cooled stack at 12×10.
+func fleetSystem(t *testing.T) *System {
+	t.Helper()
+	g, err := grid.Build(floorplan.NewT1Stack2(true), grid.DefaultParams(12, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// buildFleet builds n models on a fresh system shared by the fleet — the
+// platform wiring — with per-model power maps.
 func buildFleet(t *testing.T, n int) []*Model {
 	t.Helper()
-	stack := floorplan.NewT1Stack2(true)
-	g, err := grid.Build(stack, grid.DefaultParams(12, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := New(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	symb, err := first.EnsureSymbolic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := []*Model{first}
-	for i := 1; i < n; i++ {
-		m, err := NewWithSymbolic(g, DefaultConfig(), symb)
-		if err != nil {
+	return buildFleetOn(t, fleetSystem(t), n)
+}
+
+// buildFleetOn builds n models on sys with per-model power maps at
+// 0.5 l/min.
+func buildFleetOn(t *testing.T, sys *System, n int) []*Model {
+	t.Helper()
+	var models []*Model
+	for i := 0; i < n; i++ {
+		m := seededModel(t, sys, i)
+		if err := m.SetFlow(0.5); err != nil {
 			t.Fatal(err)
 		}
 		models = append(models, m)
 	}
-	for i, m := range models {
-		rng := rand.New(rand.NewSource(int64(100 + i)))
-		for li, layer := range m.Grid.Stack.Layers {
-			p := make([]float64, len(layer.Blocks))
-			for bi := range p {
-				p[bi] = 5 * rng.Float64()
-			}
-			if err := m.SetLayerPower(li, p); err != nil {
-				t.Fatal(err)
-			}
+	return models
+}
+
+// seededModel returns a model on sys with model i's random power map.
+func seededModel(t *testing.T, sys *System, i int) *Model {
+	t.Helper()
+	m, err := sys.NewModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(100 + i)))
+	for li, layer := range m.Grid.Stack.Layers {
+		p := make([]float64, len(layer.Blocks))
+		for bi := range p {
+			p[bi] = 5 * rng.Float64()
 		}
-		if err := m.SetFlow(0.5); err != nil {
+		if err := m.SetLayerPower(li, p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return models
+	return m
 }
 
 // TestBatchStepperMatchesStep pins the gang contract at the model level:
@@ -112,16 +126,18 @@ func TestBatchStepperMatchesStep(t *testing.T) {
 	}
 }
 
-// TestBatchStepperConcurrent runs several gangs — all cloned from one
-// shared symbolic analysis, all reporting into one counter set —
-// concurrently. Under -race this pins the claim that batch stepping
-// shares only immutable analysis products and atomic counters.
+// TestBatchStepperConcurrent runs several gangs — all on one shared
+// system, all reporting into one counter set — concurrently. Under -race
+// this pins the claim that batch stepping shares only the immutable
+// analysis, the read-only factors, the synchronized factor cache and
+// atomic counters.
 func TestBatchStepperConcurrent(t *testing.T) {
 	var ctr BatchCounters
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
+	sys := fleetSystem(t)
 	for gang := 0; gang < 3; gang++ {
-		models := buildFleet(t, 3)
+		models := buildFleetOn(t, sys, 3)
 		wg.Add(1)
 		go func(gang int, models []*Model) {
 			defer wg.Done()

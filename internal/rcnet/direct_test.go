@@ -49,14 +49,22 @@ func stepAgainstCG(t *testing.T, m *Model, dt float64) float64 {
 }
 
 // forceKernel pins the model's LDLᵀ kernel family (scalar columns or
-// supernodal panels), overriding the analysis' size gate.
+// supernodal panels), overriding the analysis' size gate. The model must
+// be the only one on its system (built by New) and must not have solved
+// yet: factors already cached keep their layout.
 func forceKernel(t *testing.T, m *Model, super bool) {
 	t.Helper()
-	s, err := m.EnsureSymbolic()
-	if err != nil {
-		t.Fatal(err)
+	if m.nFactor > 0 {
+		t.Fatal("forceKernel after the model has factorized")
 	}
-	s.SetSupernodal(super)
+	m.shared.symb.SetSupernodal(super)
+}
+
+// cachedFactors returns the live entry count of the model's system
+// factor cache.
+func cachedFactors(m *Model) int {
+	_, n := m.shared.factors.snapshot()
+	return n
 }
 
 func maxAbsDiff(a, b []float64) float64 {
@@ -212,19 +220,20 @@ func TestFactorCacheReuse(t *testing.T) {
 	if got := m.Factorizations(); got != 3 {
 		t.Fatalf("new dt: %d factorizations, want 3", got)
 	}
-	if got := m.CachedFactors(); got != 3 {
+	if got := cachedFactors(m); got != 3 {
 		t.Fatalf("cache holds %d factors, want 3", got)
 	}
 }
 
 // TestFactorCacheEviction drives more distinct keys than the cache holds
-// and checks the solver keeps producing correct answers (FIFO eviction
-// recycles the oldest numeric buffer), against the CG oracle on every
-// prepared system.
+// and checks the solver keeps producing correct answers, against the CG
+// oracle on every prepared system, while the LRU bound holds and counts
+// its evictions.
 func TestFactorCacheEviction(t *testing.T) {
 	m := testModelAt(t, 12, 10)
 	t1Power(t, m)
-	for i := 0; i < 2*maxCachedFactors+3; i++ {
+	const keys = 2*factorCacheSize + 3
+	for i := 0; i < keys; i++ {
 		flow := units.LitersPerMinute(0.1 + 0.02*float64(i))
 		if err := m.SetFlow(flow); err != nil {
 			t.Fatal(err)
@@ -233,8 +242,22 @@ func TestFactorCacheEviction(t *testing.T) {
 			t.Fatalf("key %d: |T_direct − T_CG| = %g K", i, d)
 		}
 	}
-	if got := m.CachedFactors(); got > maxCachedFactors {
-		t.Fatalf("cache grew to %d entries, cap %d", got, maxCachedFactors)
+	if got := cachedFactors(m); got != factorCacheSize {
+		t.Fatalf("cache holds %d entries, want the bound %d", got, factorCacheSize)
+	}
+	st := m.shared.FactorStats()
+	if st.Builds != keys || st.Evictions != keys-factorCacheSize || st.Hits != 0 {
+		t.Fatalf("stats %+v, want %d builds, %d evictions, 0 hits", st, keys, keys-factorCacheSize)
+	}
+	// The first key was evicted long ago: revisiting it factorizes again.
+	if err := m.SetFlow(0.1); err != nil {
+		t.Fatal(err)
+	}
+	if d := stepAgainstCG(t, m, 0.1); d > directTol {
+		t.Fatalf("revisited key: |T_direct − T_CG| = %g K", d)
+	}
+	if got := m.Factorizations(); got != keys+1 {
+		t.Fatalf("%d factorizations, want %d", got, keys+1)
 	}
 }
 

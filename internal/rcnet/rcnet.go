@@ -14,21 +14,26 @@
 // The network is solved with backward-Euler time stepping (unconditionally
 // stable for the stiff RC systems that 0.4 mm cavities against 100 ms ticks
 // produce). Every linear solve goes through one cached sparse LDLᵀ direct
-// factorization: the system matrix depends only on the pump's flow setting
-// and the time step, so it is analyzed symbolically once (fill-reducing
-// nested-dissection or RCM ordering), factored numerically the first time
-// each (flow, dt) combination is solved, and every subsequent tick costs
-// just two triangular sweeps — allocation-free. The analysis picks the
-// kernel family from the system size (scalar columns below the
-// supernodal gate, dense supernodal panels above it). A matrix that is
-// not positive definite is a returned error wrapping
-// mat.ErrNotPositiveDefinite. Steady states are fixed-point iterations
-// between the conduction solve and the coolant march.
+// factorization: the system matrix depends only on the grid, the pump's
+// flow setting and the time step. A System holds everything that depends
+// on the grid alone — the assembled network and its symbolic analysis
+// (fill-reducing nested-dissection or RCM ordering) — plus a bounded
+// (flow, dt) cache of numeric factors, and any number of Models share one
+// System. The first model to solve a (flow, dt) combination factors it
+// for all of them; every later tick of any model costs just two
+// triangular sweeps through the shared, read-only factor in the model's
+// own workspace — allocation-free. The analysis picks the kernel family
+// from the system size (scalar columns below the supernodal gate, dense
+// supernodal panels above it). A matrix that is not positive definite is
+// a returned error wrapping mat.ErrNotPositiveDefinite. Steady states are
+// fixed-point iterations between the conduction solve and the coolant
+// march.
 package rcnet
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/mat"
@@ -72,30 +77,99 @@ func DefaultConfig() Config {
 	}
 }
 
-// Model is a solvable thermal network bound to one grid.
-type Model struct {
-	Grid *grid.Grid
-	Cfg  Config
+// System is the assembled thermal network of one grid and configuration:
+// the conduction Laplacian (its CSR pattern and values), the nodal
+// capacitances, the convective conductances, the static boundary terms,
+// the symbolic LDLᵀ analysis of the system matrix and the (flow, dt)
+// factor cache. All of it depends only on (grid, config), so one System
+// serves any number of models — a platform owns one and builds every run's
+// model from it. A System is immutable after NewSystem (the factor cache
+// is internally synchronized) and safe for concurrent use.
+type System struct {
+	grid *grid.Grid
+	cfg  Config
 
 	n        int // total unknowns (grid nodes, +1 sink for air)
 	sinkNode int // -1 when liquid-cooled
 
 	base     *mat.CSR  // conduction Laplacian (diagonal included)
-	baseDiag []float64 // cached diagonal of base
+	baseDiag []float64 // diagonal of base
+	sysDiag  []int     // position of each row's diagonal entry in base.Val
 	capac    []float64 // nodal heat capacitances (J/K)
-	boundG   []float64 // per-node boundary conductance (W/K)
-	boundT   []float64 // per-node boundary temperature (K)
-	heat     []float64 // per-node injected power (W)
+	convG    []float64 // per-node convective conductance at unit coverage
+	boundG   []float64 // static boundary conductances (the air sink's)
+	boundT   []float64 // initial boundary temperatures (K)
+
+	// channelsPerRow is the number of channels crossing one cell row of a
+	// cavity (uniform across cavities and rows under homogenization).
+	channelsPerRow float64
+
+	symb    *mat.LDLSymbolic
+	factors factorCache
+}
+
+// NewSystem assembles the thermal network for g and performs the symbolic
+// analysis of its system matrix.
+func NewSystem(g *grid.Grid, cfg Config) (*System, error) {
+	s := &System{grid: g, cfg: cfg, sinkNode: -1}
+	s.n = g.TotalNodes()
+	if !g.Stack.LiquidCooled {
+		s.sinkNode = s.n
+		s.n++
+	}
+	if err := s.assemble(); err != nil {
+		return nil, err
+	}
+	// buildSystem only perturbs the diagonal of the fixed-sparsity base
+	// Laplacian, so each row's diagonal slot is located once and models
+	// rewrite just those entries per solve.
+	s.sysDiag = make([]int, s.n)
+	if err := s.base.DiagIndex(s.sysDiag); err != nil {
+		return nil, fmt.Errorf("rcnet: %w", err)
+	}
+	if g.Stack.LiquidCooled {
+		// Channels crossing one cell row of a cavity:
+		// channelsPerCavity · cellH / stackHeight.
+		s.channelsPerRow = float64(g.Stack.ChannelsPerCavity) *
+			float64(g.CellH) / float64(g.Stack.Height)
+	}
+	symb, err := mat.AnalyzeLDL(s.base, mat.OrderAuto)
+	if err != nil {
+		return nil, err
+	}
+	s.symb = symb
+	return s, nil
+}
+
+// Symbolic returns the shared symbolic analysis (read-only).
+func (s *System) Symbolic() *mat.LDLSymbolic { return s.symb }
+
+// Model is a solvable thermal network bound to one grid: the per-run
+// mutable state (temperatures, power, flow, coolant profile, solver
+// workspace) over a shared System.
+type Model struct {
+	Grid *grid.Grid
+	Cfg  Config
+
+	shared *System
+
+	n        int // total unknowns (grid nodes, +1 sink for air)
+	sinkNode int // -1 when liquid-cooled
+
+	// Read-only views of the shared assembly.
+	baseDiag []float64
+	sysDiag  []int
+	capac    []float64
+	convG    []float64
+
+	boundG []float64 // per-node boundary conductance (W/K)
+	boundT []float64 // per-node boundary temperature (K)
+	heat   []float64 // per-node injected power (W)
 
 	temp []float64 // current temperatures (K)
 
 	flow    units.LitersPerMinute     // per-cavity delivered flow
 	perChan units.CubicMeterPerSecond // per-channel flow
-	convG   []float64                 // per-node convective conductance at unit coverage
-
-	// channelsPerRow is the number of channels crossing one cell row of a
-	// cavity (uniform across cavities and rows under homogenization).
-	channelsPerRow float64
 
 	// Flow-dependent coolant-march coefficients, refreshed by SetFlow so
 	// marchCoolant runs exp-free every tick: rowCap is the per-row
@@ -113,103 +187,60 @@ type Model struct {
 	// spread is the reusable SetLayerPower cell buffer.
 	spread []float64
 
-	sys      *mat.CSR
+	sys      *mat.CSR // system matrix: the shared pattern, own values
 	rhs, old []float64
-	sysDiag  []int     // position of each row's diagonal entry in sys.Val
 	ssPrev   []float64 // SteadyState fixed-point scratch
 
-	// Direct-solver state: one symbolic analysis per model (the sparsity
-	// is fixed at assembly), numeric factors cached per (flow, dt) key.
-	symb      *mat.LDLSymbolic
-	factors   map[factorKey]*mat.LDLNumeric
-	factorSeq []factorKey // insertion order, for FIFO eviction
-	nFactor   int         // numeric factorizations performed (diagnostics)
+	// Direct-solver state: the model's own LDLᵀ workspace and a handle on
+	// the shared factor of the last (flow, dt) key it solved.
+	ws      mat.LDLWorkspace
+	num     mat.LDLNumeric
+	numKey  factorKey
+	numOK   bool
+	nFactor int // numeric factorizations this model performed
 
 	// Step-doubling estimator scratch (StepWithEstimate).
 	estState TransientState
 	estFull  []float64
 }
 
-// New builds the thermal network for g.
+// New builds the thermal network for g on a private System.
 func New(g *grid.Grid, cfg Config) (*Model, error) {
-	m := &Model{Grid: g, Cfg: cfg, sinkNode: -1}
-	m.n = g.TotalNodes()
-	if !g.Stack.LiquidCooled {
-		m.sinkNode = m.n
-		m.n++
-	}
-	m.capac = make([]float64, m.n)
-	m.boundG = make([]float64, m.n)
-	m.boundT = make([]float64, m.n)
-	m.heat = make([]float64, m.n)
-	m.temp = make([]float64, m.n)
-	m.convG = make([]float64, m.n)
-	m.decay = make([]float64, m.n)
-	m.invRatio = make([]float64, m.n)
-	m.rhs = make([]float64, m.n)
-	m.old = make([]float64, m.n)
-	m.factors = make(map[factorKey]*mat.LDLNumeric)
-	for i := range m.temp {
-		m.temp[i] = float64(cfg.InitTemp)
-	}
-	if err := m.assemble(); err != nil {
+	s, err := NewSystem(g, cfg)
+	if err != nil {
 		return nil, err
 	}
-	m.sys = m.base.Clone()
-	// buildSystem only perturbs the diagonal of the fixed-sparsity base
-	// Laplacian, so cache each row's diagonal slot once and rewrite just
-	// those entries per solve instead of re-copying the whole matrix.
-	m.sysDiag = make([]int, m.n)
-	if err := m.sys.DiagIndex(m.sysDiag); err != nil {
-		return nil, fmt.Errorf("rcnet: %w", err)
+	return s.NewModel()
+}
+
+// NewModel returns a fresh model on the shared system: the assembly, the
+// symbolic analysis and the factor cache are shared, the per-run state is
+// the model's own. Safe to call concurrently.
+func (s *System) NewModel() (*Model, error) {
+	m := &Model{
+		Grid: s.grid, Cfg: s.cfg, shared: s,
+		n: s.n, sinkNode: s.sinkNode,
+		baseDiag: s.baseDiag, sysDiag: s.sysDiag, capac: s.capac, convG: s.convG,
+		boundG:   slices.Clone(s.boundG),
+		boundT:   slices.Clone(s.boundT),
+		heat:     make([]float64, s.n),
+		temp:     make([]float64, s.n),
+		decay:    make([]float64, s.n),
+		invRatio: make([]float64, s.n),
+		rhs:      make([]float64, s.n),
+		old:      make([]float64, s.n),
+		sys: &mat.CSR{N: s.n, RowPtr: s.base.RowPtr, Col: s.base.Col,
+			Val: slices.Clone(s.base.Val)},
 	}
-	if g.Stack.LiquidCooled {
-		// Channels crossing one cell row of a cavity:
-		// channelsPerCavity · cellH / stackHeight.
-		m.channelsPerRow = float64(g.Stack.ChannelsPerCavity) *
-			float64(g.CellH) / float64(g.Stack.Height)
+	for i := range m.temp {
+		m.temp[i] = float64(s.cfg.InitTemp)
+	}
+	if s.grid.Stack.LiquidCooled {
 		if err := m.SetFlow(0); err != nil {
 			return nil, err
 		}
 	}
 	return m, nil
-}
-
-// NewWithSymbolic builds the thermal network for g like New, but seeds the
-// direct solver with a private clone of a previously computed symbolic
-// analysis (see Model.EnsureSymbolic), so the per-model ordering and fill
-// analysis is skipped. Any number of models may be built from one source
-// analysis concurrently — each clone owns its scratch. A nil symb behaves
-// exactly like New.
-func NewWithSymbolic(g *grid.Grid, cfg Config, symb *mat.LDLSymbolic) (*Model, error) {
-	m, err := New(g, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if symb != nil {
-		if !symb.Matches(m.sys) {
-			return nil, fmt.Errorf("rcnet: shared symbolic analysis is for a different structure (%d nodes, model has %d)",
-				symb.N(), m.n)
-		}
-		m.symb = symb.Clone()
-	}
-	return m, nil
-}
-
-// EnsureSymbolic performs (or returns the already-performed) symbolic
-// LDLᵀ analysis of the model's system matrix. The result can seed
-// NewWithSymbolic so further models on the same grid skip the ordering
-// and fill analysis; it must not be handed to concurrent users directly
-// (they receive private clones through NewWithSymbolic).
-func (m *Model) EnsureSymbolic() (*mat.LDLSymbolic, error) {
-	if m.symb == nil {
-		s, err := mat.AnalyzeLDL(m.sys, mat.OrderAuto)
-		if err != nil {
-			return nil, err
-		}
-		m.symb = s
-	}
-	return m.symb, nil
 }
 
 // conductivity returns the (lateral, vertical) conductivities of a cell.
@@ -247,16 +278,20 @@ func cellHeatCapacity(s *grid.Slab, idx int) float64 {
 
 // assemble builds the conduction Laplacian, capacitances and static
 // boundary terms.
-func (m *Model) assemble() error {
-	g := m.Grid
-	b := mat.NewBuilder(m.n)
+func (s *System) assemble() error {
+	g := s.grid
+	s.capac = make([]float64, s.n)
+	s.convG = make([]float64, s.n)
+	s.boundG = make([]float64, s.n)
+	s.boundT = make([]float64, s.n)
+	b := mat.NewBuilder(s.n)
 	// ~1 diagonal seed + 3 neighbor couplings × 4 entries per node.
-	b.Grow(14 * m.n)
+	b.Grow(14 * s.n)
 	cellA := float64(g.CellArea())
 	dx, dy := float64(g.CellW), float64(g.CellH)
 
 	// Ensure every diagonal entry exists even for isolated nodes.
-	for i := 0; i < m.n; i++ {
+	for i := 0; i < s.n; i++ {
 		b.Add(i, i, 0)
 	}
 
@@ -268,35 +303,35 @@ func (m *Model) assemble() error {
 	}
 
 	for si := range g.Slabs {
-		s := &g.Slabs[si]
-		t := float64(s.Thickness)
+		sl := &g.Slabs[si]
+		t := float64(sl.Thickness)
 		for iy := 0; iy < g.NY; iy++ {
 			for ix := 0; ix < g.NX; ix++ {
 				idx := iy*g.NX + ix
 				node := g.NodeIndex(si, iy, ix)
-				kL, _ := cellConductivity(s, idx)
+				kL, _ := cellConductivity(sl, idx)
 				// Capacitance.
-				m.capac[node] = cellHeatCapacity(s, idx) * cellA * t
+				s.capac[node] = cellHeatCapacity(sl, idx) * cellA * t
 				// Lateral couplings (add once per pair: to +x and +y).
 				if ix+1 < g.NX {
-					kL2, _ := cellConductivity(s, iy*g.NX+ix+1)
+					kL2, _ := cellConductivity(sl, iy*g.NX+ix+1)
 					r := dx/(2*kL*dy*t) + dx/(2*kL2*dy*t)
 					addCoupling(node, g.NodeIndex(si, iy, ix+1), 1/r)
 				}
 				if iy+1 < g.NY {
-					kL2, _ := cellConductivity(s, (iy+1)*g.NX+ix)
+					kL2, _ := cellConductivity(sl, (iy+1)*g.NX+ix)
 					r := dy/(2*kL*dx*t) + dy/(2*kL2*dx*t)
 					addCoupling(node, g.NodeIndex(si, iy+1, ix), 1/r)
 				}
 				// Vertical coupling to slab above.
 				if si+1 < len(g.Slabs) {
 					s2 := &g.Slabs[si+1]
-					_, kV1 := cellConductivity(s, idx)
+					_, kV1 := cellConductivity(sl, idx)
 					_, kV2 := cellConductivity(s2, idx)
 					r := t/(2*kV1*cellA) + float64(s2.Thickness)/(2*kV2*cellA)
 					// Each die's wiring stack (BEOL) faces the slab
 					// above it (Fig. 2): add Rth-BEOL in series.
-					if s.Kind == grid.SlabDie {
+					if sl.Kind == grid.SlabDie {
 						r += microchannel.RthBEOL / cellA
 					}
 					addCoupling(node, g.NodeIndex(si+1, iy, ix), 1/r)
@@ -313,8 +348,8 @@ func (m *Model) assemble() error {
 		// G = h · 2(wc+tc) · Lchan, with Lchan the channel length inside
 		// the cell: frac·A/wc.
 		for _, ci := range g.CavitySlabs() {
-			s := &g.Slabs[ci]
-			for idx, c := range s.Inter {
+			sl := &g.Slabs[ci]
+			for idx, c := range sl.Inter {
 				if c.ChannelFrac <= 0 {
 					continue
 				}
@@ -322,35 +357,35 @@ func (m *Model) assemble() error {
 				gconv := microchannel.HeatTransferCoeff *
 					2 * (microchannel.ChannelWidth + microchannel.ChannelHeight) * lchan
 				node := ci*g.NumCells() + idx
-				m.convG[node] = gconv
-				m.boundT[node] = float64(m.Cfg.CoolantInlet)
+				s.convG[node] = gconv
+				s.boundT[node] = float64(s.cfg.CoolantInlet)
 			}
 		}
 	} else {
 		// Couple every top-die cell to the lumped sink node, and the sink
 		// to ambient.
 		top := len(g.Slabs) - 1
-		s := &g.Slabs[top]
-		if s.Kind != grid.SlabDie {
+		sl := &g.Slabs[top]
+		if sl.Kind != grid.SlabDie {
 			return fmt.Errorf("rcnet: air-cooled stack must end with a die slab")
 		}
-		t := float64(s.Thickness)
+		t := float64(sl.Thickness)
 		for idx := 0; idx < g.NumCells(); idx++ {
-			_, kV := cellConductivity(s, idx)
-			r := t/(2*kV*cellA) + (microchannel.RthBEOL+m.Cfg.SinkSpreadResistivity)/cellA
-			addCoupling(g.NodeIndex(top, idx/g.NX, idx%g.NX), m.sinkNode, 1/r)
+			_, kV := cellConductivity(sl, idx)
+			r := t/(2*kV*cellA) + (microchannel.RthBEOL+s.cfg.SinkSpreadResistivity)/cellA
+			addCoupling(g.NodeIndex(top, idx/g.NX, idx%g.NX), s.sinkNode, 1/r)
 		}
-		m.capac[m.sinkNode] = m.Cfg.SinkCapacitance
-		m.boundG[m.sinkNode] = 1 / m.Cfg.SinkConvectionR
-		m.boundT[m.sinkNode] = float64(m.Cfg.AmbientAir)
+		s.capac[s.sinkNode] = s.cfg.SinkCapacitance
+		s.boundG[s.sinkNode] = 1 / s.cfg.SinkConvectionR
+		s.boundT[s.sinkNode] = float64(s.cfg.AmbientAir)
 	}
 
-	m.base = b.Build()
-	if !m.base.IsSymmetric(1e-9) {
+	s.base = b.Build()
+	if !s.base.IsSymmetric(1e-9) {
 		return fmt.Errorf("rcnet: assembled matrix not symmetric")
 	}
-	m.baseDiag = make([]float64, m.n)
-	m.base.Diagonal(m.baseDiag)
+	s.baseDiag = make([]float64, s.n)
+	s.base.Diagonal(s.baseDiag)
 	return nil
 }
 
@@ -376,7 +411,7 @@ func (m *Model) SetFlow(perCavity units.LitersPerMinute) error {
 	m.rowCap = 0
 	if v > 0 {
 		m.rowCap = microchannel.CoolantDensity * microchannel.CoolantHeatCapacity *
-			float64(v) * m.channelsPerRow
+			float64(v) * m.shared.channelsPerRow
 	}
 	for node, gc := range m.convG {
 		if gc == 0 {
@@ -481,8 +516,8 @@ func (m *Model) marchCoolant(relax float64) {
 // buildSystem writes A = G + diag(boundG) + diag(C/dt) into m.sys (dt may
 // be 0 for steady state) and the matching RHS into m.rhs. Only the diagonal
 // of the fixed-sparsity base Laplacian is perturbed, so the off-diagonal
-// values written by Clone at construction are reused untouched and each
-// diagonal entry is overwritten through its cached slot.
+// values copied at construction are reused untouched and each diagonal
+// entry is overwritten through its cached slot.
 func (m *Model) buildSystem(dt float64) {
 	for i := 0; i < m.n; i++ {
 		extra := m.boundG[i]
@@ -499,10 +534,10 @@ func (m *Model) buildSystem(dt float64) {
 
 // Step advances the transient solution by dt seconds with backward Euler,
 // marching the coolant once per step (the paper re-computes flux-dependent
-// terms periodically rather than continuously). The first Step after a new
-// (flow setting, dt) combination factors the system once; every later
-// tick reuses the cached factors and performs just two triangular sweeps,
-// allocation-free.
+// terms periodically rather than continuously). The first Step of any
+// model of the System at a new (flow setting, dt) combination factors the
+// system once; every later tick reuses the cached factors and performs
+// just two triangular sweeps, allocation-free.
 func (m *Model) Step(dt units.Second) error {
 	if dt <= 0 {
 		return fmt.Errorf("rcnet: non-positive dt %v", dt)

@@ -37,10 +37,8 @@ func TestSystemsArePositiveDefinite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			symb, err := m.EnsureSymbolic()
-			if err != nil {
-				t.Fatal(err)
-			}
+			symb := m.shared.symb
+			ws := new(mat.LDLWorkspace)
 			flows := []units.LitersPerMinute{0}
 			if liquid {
 				p, err := pump.New(stack.NumCavities())
@@ -63,9 +61,8 @@ func TestSystemsArePositiveDefinite(t *testing.T) {
 				for _, dt := range dts {
 					m.buildSystem(float64(dt))
 					for _, super := range []bool{false, true} {
-						s := symb.Clone()
-						s.SetSupernodal(super)
-						if _, err := s.Factorize(m.sys, nil); err != nil {
+						symb.SetSupernodal(super)
+						if _, err := symb.NewFactor(m.sys, ws); err != nil {
 							t.Errorf("%s liquid=%v flow=%v dt=%v supernodal=%v: %v",
 								name, liquid, flow, dt, super, err)
 						}
@@ -79,27 +76,42 @@ func TestSystemsArePositiveDefinite(t *testing.T) {
 // TestNotPositiveDefiniteIsAnError: a system that is not SPD (here a
 // deliberately corrupted conduction diagonal) makes Step and SteadyState
 // fail with an error wrapping mat.ErrNotPositiveDefinite — there is no
-// fallback solver — and nothing is cached, so the next solve fails the
-// same way.
+// fallback solver — for every model of the system, and nothing is cached,
+// so the next solve fails the same way. Once the system is SPD again, the
+// next solve factorizes it.
 func TestNotPositiveDefiniteIsAnError(t *testing.T) {
 	m := testModelAt(t, 12, 10)
-	t1Power(t, m)
-	if err := m.SetFlow(0.5); err != nil {
+	other, err := m.shared.NewModel()
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, mm := range []*Model{m, other} {
+		t1Power(t, mm)
+		if err := mm.SetFlow(0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := m.baseDiag[m.n/2]
 	m.baseDiag[m.n/2] = -1e6
-	for i := 0; i < 2; i++ {
-		if err := m.Step(0.1); !errors.Is(err, mat.ErrNotPositiveDefinite) {
+	for i, mm := range []*Model{m, other, m} {
+		if err := mm.Step(0.1); !errors.Is(err, mat.ErrNotPositiveDefinite) {
 			t.Fatalf("Step #%d: got %v, want ErrNotPositiveDefinite", i+1, err)
 		}
 	}
 	if err := m.SteadyState(); !errors.Is(err, mat.ErrNotPositiveDefinite) {
 		t.Fatalf("SteadyState: got %v, want ErrNotPositiveDefinite", err)
 	}
-	if got := m.Factorizations(); got != 0 {
+	if got := m.Factorizations() + other.Factorizations(); got != 0 {
 		t.Errorf("%d factorizations recorded for a failing system, want 0", got)
 	}
-	if got := m.CachedFactors(); got != 0 {
+	if got := cachedFactors(m); got != 0 {
 		t.Errorf("%d factors cached for a failing system, want 0", got)
+	}
+	m.baseDiag[m.n/2] = good
+	if err := other.Step(0.1); err != nil {
+		t.Fatalf("Step after repair: %v", err)
+	}
+	if got := other.Factorizations(); got != 1 {
+		t.Errorf("after repair: %d factorizations, want 1", got)
 	}
 }
