@@ -14,48 +14,47 @@ import (
 
 	"repro/coolsim"
 	"repro/internal/campaign"
+	"repro/internal/daemon"
 	"repro/internal/fleet"
-	"repro/internal/stream"
 )
 
 const quickBody = `{"workload":"gzip","cooling":"var","policy":"talb","layers":2,"duration":3,"warmup":1,"grid_nx":12,"grid_ny":10}`
 
-// newTestDispatcher builds a dispatcher with fleet timing tight enough
-// for tests (lease 1 s, sweep 100 ms, local booker 20 ms) and serves it
-// over httptest.
-func newTestDispatcher(t *testing.T, stateDir string) (*dispatcher, *httptest.Server) {
+// newTestDispatcher builds the dispatcher exactly as main does, with
+// fleet timing tight enough for tests (lease 1 s, backoff 10–50 ms), and
+// serves it over httptest.
+func newTestDispatcher(t *testing.T, stateDir string) (*daemon.Daemon, *httptest.Server) {
 	return newTestDispatcherDirs(t, stateDir, "")
 }
 
-func newTestDispatcherDirs(t *testing.T, stateDir, resultsDir string) (*dispatcher, *httptest.Server) {
+func newTestDispatcherDirs(t *testing.T, stateDir, resultsDir string) (*daemon.Daemon, *httptest.Server) {
 	t.Helper()
-	q, err := fleet.NewQueue(fleet.QueueConfig{
-		LeaseTTL:    time.Second,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffCap:  50 * time.Millisecond,
-		Dir:         stateDir,
-	})
-	if err != nil {
+	d := newDispatcher(t, "-lease", "1s", "-backoff", "10ms", "-backoff-cap", "50ms",
+		"-local-workers", "2", "-platform-cache", "4", "-state-dir", stateDir, "-results-dir", resultsDir)
+	if _, _, err := d.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := newDispatcher(q, 2, 4, "", resultsDir, stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := d.camp.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	d.loops(ctx, 100*time.Millisecond, 20*time.Millisecond)
-	ts := httptest.NewServer(d.handler())
+	d.Start()
+	ts := httptest.NewServer(d.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		cancel()
-		d.abort()
-		d.wg.Wait()
+		d.Drain(0)
 	})
 	return d, ts
 }
+
+func newDispatcher(t *testing.T, args ...string) *daemon.Daemon {
+	t.Helper()
+	d, err := daemon.New(parseFlags(args).daemon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+type runView = daemon.RunView
+
+type metricsView = daemon.MetricsView
 
 func submitRun(t *testing.T, base, body, query string) string {
 	t.Helper()
@@ -69,7 +68,7 @@ func submitRun(t *testing.T, base, body, query string) string {
 		buf.ReadFrom(resp.Body)
 		t.Fatalf("submit: %d %s", resp.StatusCode, buf.String())
 	}
-	var sr submitResponse
+	var sr runView
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,31 @@ func startWorker(t *testing.T, base string, capacity int) context.CancelFunc {
 	done := make(chan struct{})
 	go func() { w.Run(ctx); close(done) }()
 	t.Cleanup(func() { cancel(); <-done })
+	waitRegistered(t, base)
 	return cancel
+}
+
+// waitRegistered waits until a fleet worker is registered, so the
+// dispatcher's own slots no longer book the jobs submitted next.
+func waitRegistered(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var m metricsView
+		resp, err := http.Get(base + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if len(m.Fleet.Workers) > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestWorkerExecutesJob: the full dispatcher ↔ worker protocol over
@@ -223,7 +246,7 @@ func TestKilledWorkerRequeue(t *testing.T) {
 	if len(v.Attempts) != 2 || v.Attempts[0].Outcome != fleet.OutcomeLost {
 		t.Fatalf("attempts = %+v", v.Attempts)
 	}
-	m := d.q.Snapshot()
+	m := d.Queue().Snapshot()
 	if m.WorkersLost != 1 || m.Requeues != 1 {
 		t.Fatalf("metrics: lost %d requeues %d", m.WorkersLost, m.Requeues)
 	}
@@ -247,6 +270,7 @@ func TestPanicReportedAndBounded(t *testing.T) {
 	done := make(chan struct{})
 	go func() { w.Run(ctx); close(done) }()
 	defer func() { cancel(); <-done }()
+	waitRegistered(t, ts.URL)
 
 	id := submitRun(t, ts.URL, quickBody, "?max_attempts=1")
 	v := waitStatus(t, ts.URL, id, "failed", 10*time.Second)
@@ -268,19 +292,11 @@ func TestRestartRecovery(t *testing.T) {
 
 	// First life: accept two jobs, then "crash" (no drain, no cleanup —
 	// the queue object is simply abandoned).
-	q1, err := fleet.NewQueue(fleet.QueueConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := newDispatcher(q1, 1, 4, "", "", stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(d1.handler())
+	d1 := newDispatcher(t, "-state-dir", dir)
+	ts1 := httptest.NewServer(d1.Handler())
 	id1 := submitRun(t, ts1.URL, quickBody, "")
 	id2 := submitRun(t, ts1.URL, quickBody, "")
 	ts1.Close()
-	d1.abort()
 
 	// Second life: recover from the journal and execute locally.
 	_, ts2 := newTestDispatcher(t, dir)
@@ -292,11 +308,14 @@ func TestRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint: the synchronous batch API returns per-scenario
-// reports in input order, identical to single-run submissions.
+// TestBatchEndpoint: the dispatcher runs POST /v1/batches in its own
+// process even while fleet workers are registered, returning reports in
+// input order; with a slot per scenario nothing is co-scheduled, so each
+// report is byte-identical to a single run.
 func TestBatchEndpoint(t *testing.T) {
-	_, ts := newTestDispatcher(t, "")
-	body := fmt.Sprintf(`{"scenarios":[%s,%s]}`, quickBody, quickBody)
+	d, ts := newTestDispatcher(t, "")
+	d.Queue().Register("lazy", 1) // never polls
+	body := fmt.Sprintf(`{"workers":2,"scenarios":[%s,%s]}`, quickBody, quickBody)
 	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -307,13 +326,18 @@ func TestBatchEndpoint(t *testing.T) {
 		buf.ReadFrom(resp.Body)
 		t.Fatalf("batch: %d %s", resp.StatusCode, buf.String())
 	}
-	var br batchResponse
+	var br struct {
+		Reports []json.RawMessage `json:"reports"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
 	ref := referenceReport(t)
 	if len(br.Reports) != 2 || string(br.Reports[0]) != string(ref) || string(br.Reports[1]) != string(ref) {
 		t.Fatalf("batch reports wrong (%d)", len(br.Reports))
+	}
+	if m := d.Queue().Snapshot(); m.Jobs.Total != 0 {
+		t.Fatalf("batch went through the queue: %+v", m.Jobs)
 	}
 }
 
@@ -332,6 +356,8 @@ func TestRejectsBadRequests(t *testing.T) {
 		{"bad faults noise", `{"faults":{"sensor_noise_stddev":-1}}`, 400, fleet.CodeBadScenario},
 		{"bad faults pump", `{"faults":{"pump_stuck":9}}`, 400, fleet.CodeBadScenario},
 		{"bad layers", `{"layers":3}`, 400, fleet.CodeBadScenario},
+		{"negative duration", `{"duration":-5}`, 400, fleet.CodeBadScenario},
+		{"negative warmup", `{"warmup":-1}`, 400, fleet.CodeBadScenario},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
@@ -365,7 +391,7 @@ func TestCancelRun(t *testing.T) {
 	d, ts := newTestDispatcher(t, "")
 	// Pause local fallback by registering a worker that never polls, so
 	// the job stays queued long enough to cancel.
-	d.q.Register("lazy", 1)
+	d.Queue().Register("lazy", 1)
 	id := submitRun(t, ts.URL, quickBody, "")
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/runs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -381,7 +407,7 @@ func TestCancelRun(t *testing.T) {
 }
 
 // TestCampaignOverHTTP: a sweep campaign submitted to the dispatcher
-// expands server-side, fans out (here onto the local fallback executor),
+// expands server-side, fans out (here onto the in-process slots),
 // and streams its aggregate in expansion order with every line
 // byte-identical to a solo run of the expanded member. The terminal
 // status view and the campaign metrics rollup both reflect completion.

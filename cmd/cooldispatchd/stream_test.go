@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,8 +14,8 @@ import (
 	"time"
 
 	"repro/coolsim"
+	"repro/internal/daemon"
 	"repro/internal/fleet"
-	"repro/internal/stream"
 )
 
 // referenceNDJSON runs the quick scenario solo through a Session and
@@ -99,25 +98,16 @@ func TestStreamLocalFallback(t *testing.T) {
 	}
 }
 
-// startStreamWorker runs a minimal coolserved stand-in: a fleet worker
-// that executes dispatched jobs with a live per-attempt broadcast hub
-// and serves the worker-side stream endpoint the dispatcher's tap dials.
+// startStreamWorker runs a coolserved worker against the dispatcher: a
+// second daemon whose fleet.Worker executes dispatched jobs through
+// RunFleetJob and serves the attempt streams the dispatcher's tap dials.
 func startStreamWorker(t *testing.T, base string) {
 	t.Helper()
-	var mu sync.Mutex
-	hubs := map[string]*stream.Hub{}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/runs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		h := hubs[r.PathValue("id")]
-		mu.Unlock()
-		if h == nil {
-			fleet.WriteError(w, http.StatusNotFound, fleet.CodeNotFound, "no such run")
-			return
-		}
-		stream.Serve(w, r, h, stream.ServeOptions{})
-	})
-	ws := httptest.NewServer(mux)
+	wd, err := daemon.New(daemon.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := httptest.NewServer(wd.Handler())
 	t.Cleanup(ws.Close)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -126,27 +116,12 @@ func startStreamWorker(t *testing.T, base string) {
 		Addr:         strings.TrimPrefix(ws.URL, "http://"),
 		Capacity:     2,
 		PollInterval: 20 * time.Millisecond,
-		Runner: func(ctx context.Context, wj fleet.WireJob) (json.RawMessage, error) {
-			sc, err := fleet.DecodeScenario(wj.Scenario)
-			if err != nil {
-				return nil, err
-			}
-			h := stream.HubFor(sc, stream.Config{})
-			mu.Lock()
-			hubs[fmt.Sprintf("%s.%d", wj.ID, wj.Attempt)] = h
-			mu.Unlock()
-			rep, err := coolsim.Run(ctx, sc, coolsim.WithObserver(h.Publish))
-			if err != nil {
-				h.Close(stream.ReasonFailed)
-				return nil, err
-			}
-			h.Close(stream.ReasonDone)
-			return json.Marshal(rep)
-		},
+		Runner:       wd.RunFleetJob,
 	}
 	done := make(chan struct{})
 	go func() { w.Run(ctx); close(done) }()
 	t.Cleanup(func() { cancel(); <-done })
+	waitRegistered(t, base)
 }
 
 // TestStreamProxiedFromWorker: following a fleet run through the
@@ -198,15 +173,15 @@ func TestStreamProxiedFromWorker(t *testing.T) {
 		}
 	}
 	v := waitStatus(t, ts.URL, id, "done", 10*time.Second)
-	if len(v.Attempts) != 1 {
-		t.Fatalf("attempts = %+v", v.Attempts)
+	if len(v.Attempts) != 1 || v.Attempts[0].Worker == fleet.LocalWorker {
+		t.Fatalf("attempts = %+v, want one on the worker", v.Attempts)
 	}
 }
 
 // TestStreamDisconnectCancels: ?cancel_on_disconnect=1 through the
 // dispatcher cancels the underlying fleet job when the client hangs up.
 func TestStreamDisconnectCancels(t *testing.T) {
-	d, ts := newTestDispatcher(t, "")
+	_, ts := newTestDispatcher(t, "")
 	// Slow run so the disconnect lands mid-flight.
 	body := `{"workload":"gzip","cooling":"var","policy":"talb","layers":2,"duration":600,"warmup":1,"grid_nx":12,"grid_ny":10}`
 	id := submitRun(t, ts.URL, body, "")
@@ -225,20 +200,9 @@ func TestStreamDisconnectCancels(t *testing.T) {
 	if v.State != string(fleet.StateCanceled) {
 		t.Fatalf("state = %s", v.State)
 	}
-	// The local runner observed the cancel and closed the hub.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if h := d.hubFor(id); h != nil {
-			if closed, reason := h.Closed(); closed {
-				if reason != stream.ReasonCanceled {
-					t.Fatalf("hub close reason = %v, want canceled", reason)
-				}
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hub never closed after cancel")
-		}
-		time.Sleep(20 * time.Millisecond)
+	// The local runner observed the cancel and closed the hub: a replay
+	// ends with the canceled trailer.
+	if _, reason := readStream(t, ts.URL, id); reason != "canceled" {
+		t.Fatalf("replay close reason = %q, want canceled", reason)
 	}
 }

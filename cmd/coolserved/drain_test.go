@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/coolsim"
+	"repro/internal/daemon"
 	"repro/internal/fleet"
 )
 
@@ -21,12 +25,12 @@ const longBody = `{"workload":"gzip","cooling":"var","policy":"talb","layers":2,
 // its context, ends in the canceled state, and drain returns (the
 // process would then exit cleanly).
 func TestDrainGraceExpiryCancelsRunningJob(t *testing.T) {
-	s, ts := testServer(t)
+	d, ts := testServer(t)
 	id := submit(t, ts, longBody)
 	waitStatus(t, ts, id, statusRunning, 30*time.Second)
 
 	done := make(chan struct{})
-	go func() { s.drain(100 * time.Millisecond); close(done) }()
+	go func() { d.Drain(100 * time.Millisecond); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
@@ -58,7 +62,7 @@ func TestDrainGraceExpiryCancelsRunningJob(t *testing.T) {
 // after the configured duration.
 func TestSignalAwareTimeoutExpires(t *testing.T) {
 	sigCh := make(chan os.Signal, 1)
-	ctx, cancel := signalAwareTimeout(sigCh, 50*time.Millisecond)
+	ctx, cancel := daemon.SignalAwareTimeout(sigCh, 50*time.Millisecond)
 	defer cancel()
 	select {
 	case <-ctx.Done():
@@ -79,7 +83,7 @@ func TestSignalAwareTimeoutExpires(t *testing.T) {
 // hard-stops the drain immediately, well before the timeout.
 func TestSignalAwareTimeoutSecondSignal(t *testing.T) {
 	sigCh := make(chan os.Signal, 1)
-	ctx, cancel := signalAwareTimeout(sigCh, time.Hour)
+	ctx, cancel := daemon.SignalAwareTimeout(sigCh, time.Hour)
 	defer cancel()
 	sigCh <- os.Interrupt
 	select {
@@ -89,38 +93,55 @@ func TestSignalAwareTimeoutSecondSignal(t *testing.T) {
 	}
 }
 
-// TestRunFleetJob: worker mode's Runner executes a dispatched job
-// through the daemon's own machinery — the job is visible on the local
-// API under "<fleet-id>.<attempt>" and the returned bytes match the
-// local report.
+// TestRunFleetJob: worker mode's Runner executes a dispatched attempt
+// on the daemon's platform cache and streams it under
+// "<fleet-id>.<attempt>" (stream only: the dispatcher owns the job's
+// status and report); the returned bytes match a direct run.
 func TestRunFleetJob(t *testing.T) {
-	s, ts := testServer(t)
+	d, ts := testServer(t)
 	wj := fleet.WireJob{ID: "job-7", Attempt: 2, Scenario: json.RawMessage(quickBody)}
-	report, err := s.runFleetJob(context.Background(), wj)
+	report, err := d.RunFleetJob(context.Background(), wj)
 	if err != nil {
-		t.Fatalf("runFleetJob: %v", err)
+		t.Fatalf("RunFleetJob: %v", err)
 	}
-	v := getView(t, ts, "job-7.2")
-	if v.Status != statusDone || v.Report == nil {
-		t.Fatalf("local view of fleet job: %+v", v)
-	}
-	local, err := json.Marshal(v.Report)
+	sc, err := fleet.DecodeScenario(wj.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(local) != string(report) {
-		t.Fatal("fleet report differs from the local job view")
+	rep, err := coolsim.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v.Samples == 0 {
-		t.Fatal("fleet job recorded no samples (streaming would be empty)")
+	if want, _ := json.Marshal(rep); string(report) != string(want) {
+		t.Fatal("fleet report differs from a direct run")
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/job-7.2/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("attempt stream: %d %v", resp.StatusCode, err)
+	}
+	if n := bytes.Count(body, []byte("\n")); n != sc.ExpectedTicks() {
+		t.Fatalf("attempt stream carried %d frames, want %d", n, sc.ExpectedTicks())
+	}
+	if reason := resp.Trailer.Get("X-Stream-Close-Reason"); reason != "done" {
+		t.Fatalf("close reason = %q, want done", reason)
+	}
+	if resp, err := http.Get(ts.URL + "/v1/runs/job-7.2"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("attempt status on the worker: %v %v, want 404", resp.Status, err)
+	} else {
+		resp.Body.Close()
 	}
 }
 
 // TestRunFleetJobBadScenario: corrupt canonical bytes fail fast without
 // touching the simulator.
 func TestRunFleetJobBadScenario(t *testing.T) {
-	s, _ := testServer(t)
-	_, err := s.runFleetJob(context.Background(), fleet.WireJob{
+	d, _ := testServer(t)
+	_, err := d.RunFleetJob(context.Background(), fleet.WireJob{
 		ID: "job-8", Attempt: 1, Scenario: json.RawMessage(`{"layers":3}`),
 	})
 	if err == nil {
@@ -132,11 +153,11 @@ func TestRunFleetJobBadScenario(t *testing.T) {
 // or worker shutdown) surfaces as a context error the worker loop maps
 // to the canceled/lost outcome.
 func TestRunFleetJobCanceled(t *testing.T) {
-	s, _ := testServer(t)
+	d, _ := testServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.runFleetJob(ctx, fleet.WireJob{
+		_, err := d.RunFleetJob(ctx, fleet.WireJob{
 			ID: "job-9", Attempt: 1, Scenario: json.RawMessage(longBody),
 		})
 		errCh <- err

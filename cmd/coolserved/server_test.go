@@ -11,30 +11,66 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/coolsim"
-	"repro/internal/stream"
+	"repro/internal/daemon"
 )
 
-func testServer(t *testing.T) (*server, *httptest.Server) {
+// Client status words of GET /v1/runs/{id}.
+const (
+	statusQueued   = "queued"
+	statusRunning  = "running"
+	statusDone     = "done"
+	statusFailed   = "failed"
+	statusCanceled = "canceled"
+)
+
+// runView is the part of a run's wire view these tests read, with the
+// report decoded.
+type runView struct {
+	ID      string          `json:"id"`
+	Status  string          `json:"status"`
+	Samples int             `json:"samples"`
+	Report  *coolsim.Report `json:"report"`
+	Error   string          `json:"error"`
+}
+
+type metricsView = daemon.MetricsView
+
+func testServer(t *testing.T) (*daemon.Daemon, *httptest.Server) {
 	return testServerConfig(t, 2, 0)
 }
 
-func testServerConfig(t *testing.T, workers, retain int) (*server, *httptest.Server) {
+func testServerConfig(t *testing.T, workers, retain int) (*daemon.Daemon, *httptest.Server) {
 	t.Helper()
-	s, err := newServer(workers, retain, 0, "", "", stream.Config{})
+	return startServer(t, "-workers", strconv.Itoa(workers), "-retain", strconv.Itoa(retain), "-platform-cache", "0")
+}
+
+// startServer builds the daemon exactly as main does from the given
+// command line and serves it over httptest.
+func startServer(t *testing.T, args ...string) (*daemon.Daemon, *httptest.Server) {
+	t.Helper()
+	d := newServer(t, args...)
+	d.Start()
+	ts := httptest.NewServer(d.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		d.Drain(0) // cancel anything still queued or running
+	})
+	return d, ts
+}
+
+func newServer(t *testing.T, args ...string) *daemon.Daemon {
+	t.Helper()
+	d, err := daemon.New(parseFlags(args).daemon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.drain(0) // cancel anything still running, wait for the pool
-	})
-	return s, ts
+	return d
 }
 
 func submit(t *testing.T, ts *httptest.Server, body string) string {
@@ -49,7 +85,7 @@ func submit(t *testing.T, ts *httptest.Server, body string) string {
 		buf.ReadFrom(resp.Body)
 		t.Fatalf("POST /v1/runs = %d: %s", resp.StatusCode, buf.String())
 	}
-	var sub submitResponse
+	var sub runView
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 		t.Fatal(err)
 	}
@@ -304,6 +340,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"workload":` + `"gzip"`, // truncated JSON
 		`{"grid_nx":-5}`,          // negative grid dimension
 		`{"solver":"cg"}`,         // not a scenario knob
+		`{"duration":-5}`,         // negative duration
+		`{"warmup":-1}`,           // negative warm-up
 	}
 	for _, body := range cases {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
@@ -372,14 +410,12 @@ func TestRetentionEvictsOldestFinished(t *testing.T) {
 }
 
 func TestDrainRejectsNewJobs(t *testing.T) {
-	s, err := newServer(1, 0, 0, "", "", stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.handler())
+	d := newServer(t, "-workers", "1")
+	d.Start()
+	ts := httptest.NewServer(d.Handler())
 	t.Cleanup(ts.Close)
 	id := submit(t, ts, quickBody)
-	go s.drain(60 * time.Second) // lets the quick run finish
+	go d.Drain(60 * time.Second) // lets the quick run finish
 	// Intake must close promptly even while the running job drains.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -478,7 +514,9 @@ func TestBatchEndpoint(t *testing.T) {
 		buf.ReadFrom(resp.Body)
 		t.Fatalf("POST /v1/batches = %d: %s", resp.StatusCode, buf.String())
 	}
-	var br batchResponse
+	var br struct {
+		Reports []*coolsim.Report `json:"reports"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
 	}
@@ -694,18 +732,13 @@ func TestCampaignLiveStream(t *testing.T) {
 }
 
 // TestCampaignLocalAndResume: coolserved serves the same campaign API as
-// the dispatcher, executed in-process. A sweep campaign streams reports
-// byte-identical to solo runs; a second daemon on the same -results-dir
+// the dispatcher, its members run in the daemon's own slots. A sweep
+// campaign streams reports byte-identical to solo runs; a second daemon on the same -results-dir
 // resumes the finished campaign from disk and serves the identical
 // aggregate without re-running a single member.
 func TestCampaignLocalAndResume(t *testing.T) {
 	resultsDir := t.TempDir()
-	s1, err := newServer(2, 0, 0, "", resultsDir, stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.handler())
-	defer func() { ts1.Close(); s1.drain(0) }()
+	_, ts1 := startServer(t, "-workers", "2", "-results-dir", resultsDir)
 
 	spec := `{"name":"grid","sweep":{"base":` + quickBody + `,"cooling":["air","max"],"seeds":[1,2]}}`
 	resp, err := http.Post(ts1.URL+"/v1/campaigns", "application/json", strings.NewReader(spec))
@@ -756,19 +789,17 @@ func TestCampaignLocalAndResume(t *testing.T) {
 
 	// Second life on the same results tree: the campaign is resumed from
 	// disk, the aggregate is identical, and nothing re-executes.
-	s2, err := newServer(2, 0, 0, "", resultsDir, stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, nr, err := s2.camp.Resume()
+	d2 := newServer(t, "-workers", "2", "-results-dir", resultsDir)
+	nc, nr, err := d2.Resume()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nc != 1 || nr != 4 {
 		t.Fatalf("resume = (%d campaigns, %d results)", nc, nr)
 	}
-	ts2 := httptest.NewServer(s2.handler())
-	defer func() { ts2.Close(); s2.drain(0) }()
+	d2.Start()
+	ts2 := httptest.NewServer(d2.Handler())
+	defer func() { ts2.Close(); d2.Drain(0) }()
 
 	lines2 := readCampaignStream(t, ts2, cv.ID)
 	if len(lines2) != len(lines) {

@@ -46,7 +46,7 @@ func (c Campaign) Expand() ([]Scenario, error) {
 	case len(c.Scenarios) > 0:
 		out := make([]Scenario, len(c.Scenarios))
 		for i, sc := range c.Scenarios {
-			sc = sc.materialized()
+			sc = sc.Materialized()
 			if err := sc.Validate(); err != nil {
 				return nil, fmt.Errorf("campaign scenario %d: %w", i, err)
 			}

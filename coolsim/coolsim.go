@@ -109,7 +109,8 @@ type Scenario struct {
 	// Workload is a Table II benchmark name (see Workloads).
 	Workload string `json:"workload,omitempty"`
 	// Duration and Warmup in seconds. Zero values keep the defaults
-	// (60 s measured after a 5 s warm-up).
+	// (60 s measured after a 5 s warm-up); negative values fail
+	// validation with ErrBadDuration.
 	Duration float64 `json:"duration,omitempty"`
 	Warmup   float64 `json:"warmup,omitempty"`
 	// Seed for the synthetic trace (default 1).
@@ -487,6 +488,10 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 	cfg.Bench = bench
 	if sc.Seed != 0 {
 		cfg.Seed = sc.Seed
+	}
+	if !(sc.Duration >= 0) || !(sc.Warmup >= 0) {
+		return sim.Config{}, fmt.Errorf("%w: duration %g, warmup %g (want >= 0; 0 keeps the default)",
+			ErrBadDuration, sc.Duration, sc.Warmup)
 	}
 	if sc.Duration > 0 {
 		cfg.Duration = units.Second(sc.Duration)

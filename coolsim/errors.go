@@ -21,6 +21,9 @@ var (
 	// ErrBadGrid: a grid dimension (Scenario.GridNX/GridNY or WithGrid)
 	// is negative, or exactly one of the two is 0.
 	ErrBadGrid = errors.New("coolsim: bad grid resolution")
+	// ErrBadDuration: Scenario.Duration or Scenario.Warmup is negative
+	// (or NaN); 0 keeps the default.
+	ErrBadDuration = errors.New("coolsim: bad run duration")
 	// ErrBadControlEvery: the flow-controller decision period
 	// (Scenario.ControlEvery / WithControlEvery) is negative.
 	ErrBadControlEvery = errors.New("coolsim: bad control period")

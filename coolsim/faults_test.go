@@ -2,6 +2,7 @@ package coolsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -111,6 +112,34 @@ func TestGridValidation(t *testing.T) {
 		}
 		if err := sc.Validate(); !errors.Is(err, c.wantErr) {
 			t.Errorf("grid %dx%d: Validate = %v, want %v", c.nx, c.ny, err, c.wantErr)
+		}
+	}
+}
+
+// TestDurationValidation: a negative duration or warm-up is a typed
+// error rather than a silent fall-back to the 60 s / 5 s defaults; 0
+// keeps the default.
+func TestDurationValidation(t *testing.T) {
+	cases := []struct {
+		duration, warmup float64
+		wantErr          error
+	}{
+		{0, 0, nil},
+		{3, 1, nil},
+		{-5, 0, ErrBadDuration},
+		{0, -1, ErrBadDuration},
+		{-5, -1, ErrBadDuration},
+		{10, -0.1, ErrBadDuration},
+		{math.NaN(), 0, ErrBadDuration},
+	}
+	for _, c := range cases {
+		sc := DefaultScenario()
+		sc.Duration, sc.Warmup = c.duration, c.warmup
+		if err := sc.Validate(); !errors.Is(err, c.wantErr) {
+			t.Errorf("duration %v warmup %v: Validate = %v, want %v", c.duration, c.warmup, err, c.wantErr)
+		}
+		if _, err := sc.PlatformKey(); !errors.Is(err, c.wantErr) {
+			t.Errorf("duration %v warmup %v: PlatformKey = %v, want %v", c.duration, c.warmup, err, c.wantErr)
 		}
 	}
 }

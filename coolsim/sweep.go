@@ -90,10 +90,11 @@ func (f SweepFilter) matches(sc Scenario) bool {
 	return true
 }
 
-// materialized fills the unset base fields DefaultScenario defines, so
-// every expanded member carries its full configuration explicitly and
-// the canonical JSON encoding round-trips to an identical Scenario.
-func (sc Scenario) materialized() Scenario {
+// Materialized fills the unset fields DefaultScenario defines, so the
+// scenario carries its full configuration explicitly and its JSON
+// encoding round-trips to an identical Scenario (a zero Duration, say,
+// would otherwise be omitted and decode back as the default).
+func (sc Scenario) Materialized() Scenario {
 	def := DefaultScenario()
 	if sc.Layers == 0 {
 		sc.Layers = def.Layers
@@ -165,7 +166,7 @@ func (s Sweep) Expand() ([]Scenario, error) {
 		axisOf(s.Stepping, func(sc *Scenario, v Stepping) { sc.Stepping = v }),
 		axisOf(s.Seeds, func(sc *Scenario, v int64) { sc.Seed = v }),
 	}
-	base := s.Base.materialized()
+	base := s.Base.Materialized()
 
 	out := make([]Scenario, 0, total)
 	idx := make([]int, len(axes))

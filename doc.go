@@ -18,9 +18,11 @@
 // PlatformCache (internal/platform underneath), built once and reused by
 // any number of concurrent runs, sessions and service jobs. Everything
 // under internal/ is an implementation detail; a CI guard keeps the
-// examples on the public surface. cmd/coolserved serves scenarios as an
+// examples on the public surface. internal/daemon serves scenarios as an
 // HTTP job service (submit, poll, stream NDJSON samples, warm-start
-// platform cache, /v1/metrics — see SERVICE.md).
+// platform cache, campaigns, /v1/metrics — see SERVICE.md) behind two
+// entry points: cmd/coolserved, standalone or as a fleet worker, and
+// cmd/cooldispatchd, the fleet's journaled dispatcher.
 //
 // Time advance is a layered stepping subsystem (internal/stepper): the
 // simulator exposes its tick phases and an engine sequences them. The

@@ -10,11 +10,10 @@
 //   - Manager owns campaign state: expansion, member bookkeeping,
 //     progress/ETA, cancellation, and the reconcile loop that drives
 //     members toward done.
-//   - Backend abstracts where members execute. The dispatcher plugs in
-//     FleetBackend (fleet.Queue jobs, bulk priority, journal-recovered
-//     across restarts); coolserved plugs in Local (in-process
-//     coolsim.RunMany per platform group, sharing one platform build
-//     and batched thermal solves per stack shape).
+//   - Backend abstracts where members execute. The daemons plug in
+//     FleetBackend: fleet.Queue jobs at bulk priority, run by fleet
+//     workers or the daemon's own slots, journal-recovered across
+//     restarts when the queue has a journal.
 //   - Repo owns the results tree (<dir>/<yyyy-mm-dd>/<campaign-id>/
 //     manifest.json + run-<member>.json, atomic writes). Done-ness is
 //     derived from result-file presence, which is what makes resume

@@ -339,71 +339,8 @@ func TestRepoTreeAndResume(t *testing.T) {
 	}
 }
 
-// TestLocalBackendByteIdenticalToRunMany is the acceptance-criteria
-// core on the in-process path: a 24-member sweep campaign executed
-// through the Local backend produces, member for member, exactly the
-// bytes coolsim.RunMany yields on the same expanded list.
-func TestLocalBackendByteIdenticalToRunMany(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 48 small simulations")
-	}
-	sw := testSweep()
-	scs, err := sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scs) < 24 {
-		t.Fatalf("test sweep has %d members, want >= 24", len(scs))
-	}
-	reports, err := coolsim.RunMany(context.Background(), scs, coolsim.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference := make([][]byte, len(reports))
-	for i, rep := range reports {
-		if reference[i], err = json.Marshal(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	local := campaign.NewLocal(context.Background(), 4, coolsim.WithPlatformCache(coolsim.NewPlatformCache(8)))
-	m := campaign.NewManager(local, memRepo(t), nil)
-	v, err := m.Create(coolsim.Campaign{Name: "local", Sweep: &sw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for {
-		m.Reconcile()
-		cur, err := m.Get(v.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == "done" {
-			if cur.Counts.Done != len(scs) {
-				t.Fatalf("final counts = %+v", cur.Counts)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign did not finish: %+v", cur)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	for i := range scs {
-		res, err := m.Result(v.ID, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(res.Report, reference[i]) {
-			t.Fatalf("member %d report differs from RunMany:\n fleet: %s\n many:  %s",
-				i, res.Report, reference[i])
-		}
-	}
-}
-
 // runJob executes one booked job's canonical bytes exactly the way the
-// dispatcher's local fallback (and a worker daemon) does.
+// daemon's in-process slots (and a worker daemon) do.
 func runJob(t *testing.T, raw json.RawMessage) json.RawMessage {
 	t.Helper()
 	sc, err := fleet.DecodeScenario(raw)

@@ -16,6 +16,10 @@ import (
 // already in flight.
 type FleetBackend struct {
 	Q *fleet.Queue
+	// Notify, when set, is called after a group is enqueued, so an
+	// in-process booker can start the members without waiting for its
+	// next tick.
+	Notify func()
 }
 
 // SubmitGroup enqueues the group's members in order. Same-key jobs are
@@ -37,6 +41,9 @@ func (b FleetBackend) SubmitGroup(campaignID string, members []Member, opts Grou
 			return ids[:i], err
 		}
 		ids[i] = j.ID
+	}
+	if b.Notify != nil {
+		b.Notify()
 	}
 	return ids, nil
 }

@@ -28,12 +28,12 @@ type GroupOptions struct {
 	Priority    int
 }
 
-// Backend is where campaign members execute. The dispatcher's
-// FleetBackend submits fleet jobs; coolserved's Local runs groups
-// in-process through coolsim.RunMany. The contract that makes resume
-// work: Status returns a non-nil error exactly when the backend no
-// longer knows the job (e.g. it died with a previous process and was
-// not recovered), which tells the manager to resubmit the member.
+// Backend is where campaign members execute. The daemons plug in
+// FleetBackend, which submits fleet jobs; tests fake it. The contract
+// that makes resume work: Status returns a non-nil error exactly when
+// the backend no longer knows the job (e.g. it died with a previous
+// process and was not recovered), which tells the manager to resubmit
+// the member.
 type Backend interface {
 	// SubmitGroup starts one platform group (members sharing a spec
 	// key, so the platform prebuild happens once per shape). Returns

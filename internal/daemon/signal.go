@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"context"
@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// signalAwareTimeout returns a context that expires after d, or
+// SignalAwareTimeout returns a context that expires after d, or
 // immediately on a second signal (an impatient operator hitting Ctrl-C
-// twice hard-stops the drain).
-func signalAwareTimeout(sigCh <-chan os.Signal, d time.Duration) (context.Context, context.CancelFunc) {
+// twice hard-stops the drain). The mains bound their shutdown with it.
+func SignalAwareTimeout(sigCh <-chan os.Signal, d time.Duration) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	go func() {
 		select {

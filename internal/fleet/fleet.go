@@ -146,7 +146,7 @@ type Job struct {
 	// NotBefore gates a requeued job until its retry backoff elapses.
 	NotBefore time.Time `json:"not_before,omitzero"`
 	// Worker and LeaseExpiry identify the current holder of a booked or
-	// executing job. Local (dispatcher-fallback) jobs carry no lease.
+	// executing job. In-process (LocalWorker) jobs carry no lease.
 	Worker      string    `json:"worker,omitempty"`
 	LeaseExpiry time.Time `json:"lease_expiry,omitzero"`
 	// CancelRequested marks a cancel that must be relayed to the

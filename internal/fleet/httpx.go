@@ -21,6 +21,7 @@ const (
 	CodeTooLarge      = "body_too_large"
 	CodeDraining      = "draining"
 	CodeNotFound      = "not_found"
+	CodeGone          = "gone"
 	CodeConflict      = "conflict"
 	CodeUnknownWorker = "unknown_worker"
 	CodeCanceled      = "canceled"

@@ -19,12 +19,15 @@ var (
 	ErrNotOwner      = errors.New("fleet: job not owned by this worker")
 )
 
-// LocalWorker is the reserved worker ID of the dispatcher's in-process
-// fallback executor (used when zero fleet workers are registered).
-// Local jobs carry no lease: the runner lives in the dispatcher's own
-// process, so "unreachable" is meaningless short of a crash — which the
-// journal's restart recovery already covers.
+// LocalWorker is the reserved worker ID of the daemon's in-process
+// slots (used while zero fleet workers are reachable). Local jobs carry
+// no lease: the runner lives in the queue's own process, so
+// "unreachable" is meaningless short of a crash — which the journal's
+// restart recovery already covers.
 const LocalWorker = "local"
+
+// DefaultLeaseTTL is the lease TTL of a QueueConfig that sets none.
+const DefaultLeaseTTL = 15 * time.Second
 
 // QueueConfig tunes the queue's robustness machinery. The zero value
 // gets the documented defaults.
@@ -50,11 +53,16 @@ type QueueConfig struct {
 	Clock Clock
 	// RingReplicas is the consistent-hash virtual-node count (default 64).
 	RingReplicas int
+	// Retain bounds the finished jobs kept (with their journal files):
+	// each Submit evicts the oldest terminal jobs beyond it. Campaign
+	// member jobs are exempt, since their campaign reads the reports
+	// back. ≤ 0 keeps every job.
+	Retain int
 }
 
 func (c QueueConfig) withDefaults() QueueConfig {
 	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 15 * time.Second
+		c.LeaseTTL = DefaultLeaseTTL
 	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = c.LeaseTTL / 3
@@ -228,7 +236,39 @@ func (q *Queue) Submit(scenario json.RawMessage, specKey string, opts SubmitOpti
 	}
 	q.jobs[j.ID] = j
 	q.order = append(q.order, j.ID)
+	q.pruneLocked()
 	return j.snapshot(), nil
+}
+
+// pruneLocked evicts the oldest finished non-campaign jobs beyond the
+// Retain bound, from memory and from the journal.
+func (q *Queue) pruneLocked() {
+	if q.cfg.Retain <= 0 {
+		return
+	}
+	finished := 0
+	for _, id := range q.order {
+		if j := q.jobs[id]; j.State.Terminal() && j.Campaign == "" {
+			finished++
+		}
+	}
+	excess := finished - q.cfg.Retain
+	if excess <= 0 {
+		return
+	}
+	kept := q.order[:0]
+	for _, id := range q.order {
+		if j := q.jobs[id]; excess > 0 && j.State.Terminal() && j.Campaign == "" {
+			excess--
+			delete(q.jobs, id)
+			if q.store != nil {
+				q.store.remove(id)
+			}
+			continue
+		}
+		kept = append(kept, id)
+	}
+	q.order = kept
 }
 
 // Register admits a worker with the given capacity and returns its
@@ -678,8 +718,8 @@ type Metrics struct {
 	Workers []WorkerView `json:"workers"`
 	// Requeues counts every retry re-admission; LeaseExpiries the
 	// subset caused by individual lease timeouts; WorkersLost the
-	// unreachable-worker events; LocalRuns the jobs executed by the
-	// dispatcher's in-process fallback.
+	// unreachable-worker events; LocalRuns the jobs executed in the
+	// daemon's own slots.
 	Requeues      int64 `json:"requeues"`
 	LeaseExpiries int64 `json:"lease_expiries"`
 	WorkersLost   int64 `json:"workers_lost"`

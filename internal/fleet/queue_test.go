@@ -571,3 +571,45 @@ func TestParsePriority(t *testing.T) {
 		}
 	}
 }
+
+// TestRetentionEvictsOldestFinished: with Retain set, each submission
+// evicts the oldest finished jobs beyond the bound, from memory and the
+// journal; waiting, running and campaign jobs stay.
+func TestRetentionEvictsOldestFinished(t *testing.T) {
+	dir := t.TempDir()
+	q, _ := testQueue(t, QueueConfig{Retain: 1, Dir: dir})
+	finish := func() Job {
+		j := mustSubmit(t, q, "k")
+		b := q.BookLocal()
+		if b == nil || b.ID != j.ID {
+			t.Fatalf("booked %+v, want %s", b, j.ID)
+		}
+		if err := q.Complete(LocalWorker, j.ID, json.RawMessage(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	a := finish()
+	camp, err := q.Submit(json.RawMessage(`{}`), "k", SubmitOptions{Campaign: "c-1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.BookLocal()
+	q.Complete(LocalWorker, camp.ID, json.RawMessage(`{}`))
+	b := finish()
+	waiting := mustSubmit(t, q, "k") // evicts a: two finished, Retain 1
+	if _, err := q.Get(a.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("evicted job %s still served: %v", a.ID, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, a.ID+".json")); !os.IsNotExist(err) {
+		t.Fatalf("evicted job's journal file remains: %v", err)
+	}
+	for _, id := range []string{camp.ID, b.ID, waiting.ID} {
+		if _, err := q.Get(id); err != nil {
+			t.Fatalf("job %s evicted: %v", id, err)
+		}
+	}
+	if got := len(q.List()); got != 3 {
+		t.Fatalf("%d jobs listed, want 3", got)
+	}
+}

@@ -28,8 +28,10 @@ func DecodeScenario(raw json.RawMessage) (coolsim.Scenario, error) {
 // CanonicalScenario lowers a validated scenario to the canonical wire
 // bytes journaled with the job (defaults materialized, stable field
 // order — every retry of the job re-executes exactly these bytes) and
-// the platform spec key that routes it on the worker ring.
+// the platform spec key that routes it on the worker ring. Decoding the
+// bytes and canonicalizing again yields the same bytes.
 func CanonicalScenario(sc coolsim.Scenario) (raw json.RawMessage, specKey string, err error) {
+	sc = sc.Materialized()
 	key, err := sc.PlatformKey()
 	if err != nil {
 		return nil, "", err

@@ -59,6 +59,13 @@ func (s *store) save(j *Job) error {
 	return nil
 }
 
+// remove deletes one job's journal file (retention eviction). A file
+// that cannot be removed is recovered again on restart, which is
+// harmless.
+func (s *store) remove(id string) {
+	_ = os.Remove(s.path(id))
+}
+
 // load reads every journaled job back, oldest first. Corrupt files are
 // skipped (and reported in the second return) rather than failing the
 // recovery — a torn write must not take the whole queue down.
@@ -79,8 +86,10 @@ func (s *store) load() ([]*Job, []string, error) {
 			corrupt = append(corrupt, name)
 			continue
 		}
+		// A file whose job ID does not match its name is corrupt too:
+		// the ID names the file every later transition rewrites.
 		var j Job
-		if err := json.Unmarshal(data, &j); err != nil || j.ID == "" {
+		if err := json.Unmarshal(data, &j); err != nil || j.ID+".json" != name {
 			corrupt = append(corrupt, name)
 			continue
 		}
