@@ -7,7 +7,7 @@
 // sees a single upstream subscriber no matter how many clients follow
 // the run here, and the tap survives worker loss by resuming the
 // retried attempt's (deterministic, byte-identical) stream at the frame
-// it left off. POST /v1/batches runs in-process, as on coolserved.
+// it left off.
 //
 // Usage:
 //

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -305,39 +304,6 @@ func TestRestartRecovery(t *testing.T) {
 		if string(v.Report) != string(referenceReport(t)) {
 			t.Fatalf("recovered job %s report differs", id)
 		}
-	}
-}
-
-// TestBatchEndpoint: the dispatcher runs POST /v1/batches in its own
-// process even while fleet workers are registered, returning reports in
-// input order; with a slot per scenario nothing is co-scheduled, so each
-// report is byte-identical to a single run.
-func TestBatchEndpoint(t *testing.T) {
-	d, ts := newTestDispatcher(t, "")
-	d.Queue().Register("lazy", 1) // never polls
-	body := fmt.Sprintf(`{"workers":2,"scenarios":[%s,%s]}`, quickBody, quickBody)
-	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		t.Fatalf("batch: %d %s", resp.StatusCode, buf.String())
-	}
-	var br struct {
-		Reports []json.RawMessage `json:"reports"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	ref := referenceReport(t)
-	if len(br.Reports) != 2 || string(br.Reports[0]) != string(ref) || string(br.Reports[1]) != string(ref) {
-		t.Fatalf("batch reports wrong (%d)", len(br.Reports))
-	}
-	if m := d.Queue().Snapshot(); m.Jobs.Total != 0 {
-		t.Fatalf("batch went through the queue: %+v", m.Jobs)
 	}
 }
 

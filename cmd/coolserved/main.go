@@ -17,7 +17,6 @@
 //	GET    /v1/runs/{id}        status, and the report once done
 //	GET    /v1/runs/{id}/stream follow per-tick Samples as NDJSON
 //	DELETE /v1/runs/{id}        cancel a queued or running job
-//	POST   /v1/batches          run a scenario batch through RunMany
 //	GET    /healthz             liveness and drain state
 //	GET    /v1/metrics          job counts + platform-cache hit/miss
 //	POST   /v1/campaigns        submit a scenario list or sweep spec

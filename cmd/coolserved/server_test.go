@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -486,127 +485,6 @@ func TestMetricsWarmSecondJob(t *testing.T) {
 	if cold.FactorBuilds == 0 || pc.FactorBuilds != cold.FactorBuilds || pc.FactorHits <= cold.FactorHits {
 		t.Errorf("factor builds %d → %d, hits %d → %d: want builds unchanged and hits grown by the warm job",
 			cold.FactorBuilds, pc.FactorBuilds, cold.FactorHits, pc.FactorHits)
-	}
-}
-
-// TestBatchEndpoint: POST /v1/batches runs platform-sharing scenarios
-// through the gang scheduler, returns reports identical to solo runs,
-// and surfaces the batching statistics on /v1/metrics.
-func TestBatchEndpoint(t *testing.T) {
-	_, ts := testServer(t)
-
-	solo := submit(t, ts, `{"workload":"Web-med","cooling":"max","policy":"lb","layers":2,
-		"duration":2,"warmup":1,"grid_nx":12,"grid_ny":10,"seed":3}`)
-	ref := waitStatus(t, ts, solo, statusDone, 60*time.Second)
-
-	sc := `{"workload":"Web-med","cooling":"max","policy":"lb","layers":2,
-		"duration":2,"warmup":1,"grid_nx":12,"grid_ny":10,"seed":%d}`
-	body := `{"workers":1,"scenarios":[` +
-		fmt.Sprintf(sc, 1) + `,` + fmt.Sprintf(sc, 2) + `,` +
-		fmt.Sprintf(sc, 3) + `,` + fmt.Sprintf(sc, 4) + `]}`
-	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		t.Fatalf("POST /v1/batches = %d: %s", resp.StatusCode, buf.String())
-	}
-	var br struct {
-		Reports []*coolsim.Report `json:"reports"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Reports) != 4 {
-		t.Fatalf("got %d reports, want 4", len(br.Reports))
-	}
-	batched := int64(0)
-	for i, r := range br.Reports {
-		if r == nil {
-			t.Fatalf("report %d is nil", i)
-		}
-		batched += r.BatchedSolves
-	}
-	if batched == 0 {
-		t.Error("no batched solves across an oversubscribed batch")
-	}
-	// Seed 3 of the batch must match the solo run, batching diagnostics
-	// aside.
-	want, got := *ref.Report, *br.Reports[2]
-	want.BatchedSolves, got.BatchedSolves = 0, 0
-	wb, _ := json.Marshal(want)
-	gb, _ := json.Marshal(got)
-	if !bytes.Equal(wb, gb) {
-		t.Errorf("batched report differs from solo run:\nsolo  %s\nbatch %s", wb, gb)
-	}
-
-	mresp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var m metricsView
-	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Batches != 1 {
-		t.Errorf("batches = %d, want 1", m.Batches)
-	}
-	if m.Batch.Sweeps == 0 || m.Batch.BatchedSolves == 0 || len(m.Batch.BatchWidth) == 0 {
-		t.Errorf("batch metrics empty: %+v", m.Batch)
-	}
-}
-
-// TestBatchValidation: malformed and invalid batches fail fast.
-func TestBatchValidation(t *testing.T) {
-	_, ts := testServer(t)
-	for _, body := range []string{
-		`{"scenarios":[]}`,
-		`{"scenarios":[{"workload":"nope","cooling":"max","policy":"lb","layers":2}]}`,
-		`{"scenarios":[{"workload":"gzip","cooling":"max","policy":"lb","layers":2}],"unknown":1}`,
-		`{"scenarios":[{"workload":"gzip","typo_knob":1}]}`,
-	} {
-		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST /v1/batches %s = %d, want 400", body, resp.StatusCode)
-		}
-	}
-}
-
-// TestBatchScenarioDefaults: unset scenario fields in a batch inherit
-// DefaultScenario, exactly like a /v1/runs submission.
-func TestBatchScenarioDefaults(t *testing.T) {
-	_, ts := testServer(t)
-	body := `{"scenarios":[{"workload":"gzip","cooling":"max",
-		"duration":1,"warmup":0.2,"grid_nx":12,"grid_ny":10}]}`
-	resp, err := http.Post(ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/batches = %d, want 200", resp.StatusCode)
-	}
-	var br struct {
-		Reports []*coolsim.Report `json:"reports"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Reports) != 1 {
-		t.Fatalf("got %d reports, want 1", len(br.Reports))
-	}
-	def := coolsim.DefaultScenario()
-	got := br.Reports[0].Scenario
-	if got.Layers != def.Layers || got.Policy != def.Policy || got.Seed != def.Seed {
-		t.Errorf("batch scenario did not inherit defaults: %+v", got)
 	}
 }
 

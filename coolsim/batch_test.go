@@ -59,16 +59,16 @@ func TestRunManyBatchedSolves(t *testing.T) {
 }
 
 // TestControlEveryValidation: negative control periods fail with the
-// typed sentinel, from both the scenario field and the option.
+// typed sentinel, from Validate and from Run.
 func TestControlEveryValidation(t *testing.T) {
 	sc := warmScenario("gzip", 1)
 	sc.ControlEvery = -2
 	if err := sc.Validate(); !errors.Is(err, ErrBadControlEvery) {
 		t.Fatalf("Validate with ControlEvery=-2: %v, want ErrBadControlEvery", err)
 	}
-	sc.ControlEvery = 0
-	if _, err := Run(context.Background(), sc, WithControlEvery(-1)); !errors.Is(err, ErrBadControlEvery) {
-		t.Fatalf("WithControlEvery(-1): %v, want ErrBadControlEvery", err)
+	sc.ControlEvery = -1
+	if _, err := Run(context.Background(), sc); !errors.Is(err, ErrBadControlEvery) {
+		t.Fatalf("Run with ControlEvery=-1: %v, want ErrBadControlEvery", err)
 	}
 }
 
@@ -85,8 +85,9 @@ func TestControlEveryRuns(t *testing.T) {
 	if r.Samples == 0 || r.MeanSetting <= 0 {
 		t.Fatalf("control-period run produced no controlled samples: %+v", r)
 	}
-	// The option overrides the scenario field.
-	r2, err := Run(context.Background(), sc, WithControlEvery(1))
+	// An explicit period of 1 is the default cadence.
+	sc.ControlEvery = 1
+	r2, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +98,6 @@ func TestControlEveryRuns(t *testing.T) {
 	}
 	r2.Scenario, ref.Scenario = Scenario{}, Scenario{}
 	if !reflect.DeepEqual(r2, ref) {
-		t.Fatalf("WithControlEvery(1) should match the default cadence\n got: %+v\nwant: %+v", r2, ref)
+		t.Fatalf("ControlEvery=1 should match the default cadence\n got: %+v\nwant: %+v", r2, ref)
 	}
 }

@@ -15,14 +15,15 @@
 //     thermal weights) in plain-data form.
 //
 // Every entry point takes a context.Context and honors cancellation
-// within one simulated tick. Configuration is a Scenario value plus
-// functional options (WithWorkers, WithGrid, WithTick, WithStepper,
-// WithObserver, WithPlatformCache, WithControlEvery, WithBatchCounters);
-// failures surface as typed errors (ErrUnknownWorkload,
-// ErrUnknownCooling, ...) that wrap into errors.Is. Scenario.Stepping/WithStepper select the time-advance
-// engine: the default fixed 100 ms loop, or adaptive thermal
-// macro-stepping (≤ 0.1 °C from fixed, several-fold faster through
-// thermally quiet phases), with samples at the base tick either way.
+// within one simulated tick. A Scenario says what is simulated — grid,
+// stepping engine and control period included — and functional options
+// (WithWorkers, WithObserver, WithPlatformCache, WithBatchCounters) say
+// how it runs; failures surface as typed errors (ErrUnknownWorkload,
+// ErrUnknownCooling, ...) that wrap into errors.Is. Scenario.Stepping
+// selects the time-advance engine: the default fixed 100 ms loop, or
+// adaptive thermal macro-stepping (≤ 0.1 °C from fixed, several-fold
+// faster through thermally quiet phases), with samples at the base tick
+// either way.
 //
 // Runs of the same stack shape can share their expensive setup — grid,
 // solver analysis, controller tables — through a PlatformCache; see
@@ -169,7 +170,7 @@ func DefaultScenario() Scenario {
 // Validate reports whether the scenario is runnable, returning the typed
 // error of the first bad field (ErrUnknownWorkload, ErrBadLayers, ...).
 func (sc Scenario) Validate() error {
-	_, err := sc.simConfig(config{})
+	_, err := sc.simConfig()
 	return err
 }
 
@@ -179,7 +180,7 @@ func (sc Scenario) Validate() error {
 // WithPlatformCache); services use the key to route platform-affine
 // work onto the same node.
 func (sc Scenario) PlatformKey() (string, error) {
-	cfg, err := sc.simConfig(config{})
+	cfg, err := sc.simConfig()
 	if err != nil {
 		return "", err
 	}
@@ -194,7 +195,7 @@ func (sc Scenario) PlatformKey() (string, error) {
 // scenario emits (warm-up plus measured duration at the base tick) — the
 // expected-frame budget behind stream ETAs. 0 if the scenario is invalid.
 func (sc Scenario) ExpectedTicks() int {
-	cfg, err := sc.simConfig(config{})
+	cfg, err := sc.simConfig()
 	if err != nil || cfg.Tick <= 0 {
 		return 0
 	}
@@ -291,24 +292,18 @@ func RunMany(ctx context.Context, scs []Scenario, opts ...Option) ([]*Report, er
 	cfg := buildConfig(opts)
 	cfgs := make([]sim.Config, len(scs))
 	for i, sc := range scs {
-		simCfg, err := sc.simConfig(cfg)
+		simCfg, err := sc.simConfig()
 		if err != nil {
 			return nil, fmt.Errorf("scenario %d: %w", i, err)
+		}
+		if cfg.batch != nil {
+			simCfg.BatchCounters = &cfg.batch.inner
 		}
 		cfgs[i] = simCfg
 	}
 	if cfg.pcache != nil {
 		if err := cfg.pcache.attachAll(cfgs); err != nil {
 			return nil, err
-		}
-	}
-	if fn := cfg.memberObserver; fn != nil {
-		for i := range cfgs {
-			member := i
-			sp := &sampler{}
-			cfgs[i].Observer = func(s *sim.Sim, measured bool) {
-				fn(member, sp.fill(s, measured))
-			}
 		}
 	}
 	results, err := sim.RunAll(ctx, cfgs, cfg.workers)
@@ -463,9 +458,9 @@ func checkGrid(nx, ny int) error {
 	return nil
 }
 
-// simConfig lowers the user-level scenario plus run options into the
-// internal simulator configuration.
-func (sc Scenario) simConfig(rc config) (sim.Config, error) {
+// simConfig lowers the user-level scenario into the internal simulator
+// configuration.
+func (sc Scenario) simConfig() (sim.Config, error) {
 	if sc.Layers != 2 && sc.Layers != 4 {
 		return sim.Config{}, fmt.Errorf("%w: %d (want 2 or 4)", ErrBadLayers, sc.Layers)
 	}
@@ -502,36 +497,22 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 	if err := checkGrid(sc.GridNX, sc.GridNY); err != nil {
 		return sim.Config{}, err
 	}
-	if err := checkGrid(rc.gridNX, rc.gridNY); err != nil {
-		return sim.Config{}, err
-	}
 	if sc.GridNX > 0 && sc.GridNY > 0 {
 		cfg.GridNX, cfg.GridNY = sc.GridNX, sc.GridNY
 	}
 	cfg.DPMEnabled = sc.DPM
-	stepping := sc.Stepping
-	if rc.stepping != nil {
-		stepping = *rc.stepping
-	}
-	kind, err := stepper.ParseKind(stepping.Mode)
+	kind, err := stepper.ParseKind(sc.Stepping.Mode)
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: %q (want fixed|adaptive)", ErrUnknownStepping, stepping.Mode)
+		return sim.Config{}, fmt.Errorf("%w: %q (want fixed|adaptive)", ErrUnknownStepping, sc.Stepping.Mode)
 	}
-	controlEvery := sc.ControlEvery
-	if rc.controlEvery != 0 {
-		controlEvery = rc.controlEvery
-	}
-	if controlEvery < 0 {
-		return sim.Config{}, fmt.Errorf("%w: %d (want > 0)", ErrBadControlEvery, controlEvery)
+	if sc.ControlEvery < 0 {
+		return sim.Config{}, fmt.Errorf("%w: %d (want > 0)", ErrBadControlEvery, sc.ControlEvery)
 	}
 	cfg.Stepper = stepper.Config{
 		Kind:         kind,
-		ToleranceC:   stepping.ToleranceC,
-		MaxStep:      units.Second(stepping.MaxStepS),
-		ControlEvery: controlEvery,
-	}
-	if rc.batch != nil {
-		cfg.BatchCounters = &rc.batch.inner
+		ToleranceC:   sc.Stepping.ToleranceC,
+		MaxStep:      units.Second(sc.Stepping.MaxStepS),
+		ControlEvery: sc.ControlEvery,
 	}
 	if err := sc.Faults.validate(); err != nil {
 		return sim.Config{}, err
@@ -545,12 +526,6 @@ func (sc Scenario) simConfig(rc config) (sim.Config, error) {
 	if sc.UtilSchedule != nil {
 		us := sc.UtilSchedule
 		cfg.UtilSchedule = func(t units.Second) float64 { return us(float64(t)) }
-	}
-	if rc.gridNX > 0 && rc.gridNY > 0 {
-		cfg.GridNX, cfg.GridNY = rc.gridNX, rc.gridNY
-	}
-	if rc.tick > 0 {
-		cfg.Tick = units.Second(rc.tick)
 	}
 	return cfg, nil
 }

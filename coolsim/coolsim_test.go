@@ -239,30 +239,6 @@ func TestUtilSchedule(t *testing.T) {
 	}
 }
 
-func TestOptionsOverrideScenario(t *testing.T) {
-	sc := quickScenario()
-	sc.Duration = 5
-	// A different grid via option must beat the scenario's 12×10 and
-	// still produce a full run; a negative grid option must fail typed.
-	if _, err := Run(context.Background(), sc, WithGrid(14, 12)); err != nil {
-		t.Fatalf("option overrides failed: %v", err)
-	}
-	if _, err := Run(context.Background(), sc, WithGrid(14, -12)); !errors.Is(err, ErrBadGrid) {
-		t.Errorf("WithGrid(14, -12) = %v, want ErrBadGrid", err)
-	}
-	if _, err := Run(context.Background(), sc, WithGrid(14, 0)); !errors.Is(err, ErrBadGrid) {
-		t.Errorf("WithGrid(14, 0) = %v, want ErrBadGrid", err)
-	}
-	// A 10× coarser tick yields ~10× fewer samples.
-	r, err := Run(context.Background(), sc, WithTick(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Samples != 5 {
-		t.Errorf("tick=1s over 5s gave %d samples, want 5", r.Samples)
-	}
-}
-
 func TestWorkloadsComplete(t *testing.T) {
 	ws := Workloads()
 	if len(ws) != 8 {
@@ -311,5 +287,14 @@ func TestAnalysisLifecycle(t *testing.T) {
 	}
 	if _, err := NewAnalysis(3, 12, 10); !errors.Is(err, ErrBadLayers) {
 		t.Error("expected ErrBadLayers for 3 layers")
+	}
+}
+
+func TestExpectedTicksDefaults(t *testing.T) {
+	if n := DefaultScenario().ExpectedTicks(); n != 650 {
+		t.Fatalf("default scenario ExpectedTicks()=%d, want 650 (65 s at 100 ms)", n)
+	}
+	if n := (Scenario{}).ExpectedTicks(); n != 0 {
+		t.Fatalf("invalid scenario ExpectedTicks()=%d, want 0", n)
 	}
 }

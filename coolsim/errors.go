@@ -18,14 +18,14 @@ var (
 	ErrUnknownStepping = errors.New("coolsim: unknown stepping mode")
 	// ErrBadLayers: Scenario.Layers is not 2 or 4.
 	ErrBadLayers = errors.New("coolsim: unsupported layer count")
-	// ErrBadGrid: a grid dimension (Scenario.GridNX/GridNY or WithGrid)
-	// is negative, or exactly one of the two is 0.
+	// ErrBadGrid: Scenario.GridNX or GridNY is negative, or exactly one
+	// of the two is 0.
 	ErrBadGrid = errors.New("coolsim: bad grid resolution")
 	// ErrBadDuration: Scenario.Duration or Scenario.Warmup is negative
 	// (or NaN); 0 keeps the default.
 	ErrBadDuration = errors.New("coolsim: bad run duration")
 	// ErrBadControlEvery: the flow-controller decision period
-	// (Scenario.ControlEvery / WithControlEvery) is negative.
+	// Scenario.ControlEvery is negative.
 	ErrBadControlEvery = errors.New("coolsim: bad control period")
 	// ErrBadFaults: a Scenario.Faults field is out of range — a negative
 	// SensorNoiseStdDev, a SensorDropoutProb outside [0, 1], or a

@@ -6,15 +6,10 @@ package coolsim
 type Option func(*config)
 
 type config struct {
-	workers        int
-	gridNX, gridNY int
-	tick           float64
-	stepping       *Stepping
-	observer       func(*Sample)
-	memberObserver func(member int, smp *Sample)
-	pcache         *PlatformCache
-	controlEvery   int
-	batch          *BatchCounters
+	workers  int
+	observer func(*Sample)
+	pcache   *PlatformCache
+	batch    *BatchCounters
 }
 
 func buildConfig(opts []Option) config {
@@ -29,29 +24,6 @@ func buildConfig(opts []Option) config {
 // runtime.NumCPU(). Reports are byte-identical for any worker count.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithGrid overrides the thermal grid resolution of every scenario in the
-// call, taking precedence over Scenario.GridNX/GridNY; WithGrid(0, 0)
-// keeps the scenarios' grids. Negative values, or exactly one of the two
-// 0, fail with ErrBadGrid.
-func WithGrid(nx, ny int) Option {
-	return func(c *config) { c.gridNX, c.gridNY = nx, ny }
-}
-
-// WithTick overrides the sampling interval in seconds (default 0.1, the
-// paper's 100 ms tick).
-func WithTick(seconds float64) Option {
-	return func(c *config) { c.tick = seconds }
-}
-
-// WithStepper overrides the time-advance engine of every scenario in the
-// call, taking precedence over Scenario.Stepping: Stepping{} keeps the
-// fixed base-tick loop, Stepping{Mode: "adaptive"} (plus optional
-// ToleranceC / MaxStepS knobs) enables adaptive thermal macro-stepping.
-// Samples are emitted at the base tick either way.
-func WithStepper(st Stepping) Option {
-	return func(c *config) { c.stepping = &st }
 }
 
 // WithPlatformCache makes the call reuse (and populate) pc's shared
@@ -71,27 +43,6 @@ func WithPlatformCache(pc *PlatformCache) Option {
 // observer adds no allocations to the tick path. RunMany ignores it.
 func WithObserver(fn func(*Sample)) Option {
 	return func(c *config) { c.observer = fn }
-}
-
-// WithMemberObserver registers a per-tick hook on RunMany: fn receives
-// every Sample of every scenario in the call, tagged with the scenario's
-// index in the input slice. Unlike WithObserver it is safe under
-// RunMany's concurrency because each member owns a private Sample — but
-// fn itself is called concurrently from the worker pool (and from
-// lock-stepped gangs), so it must be safe for concurrent use across
-// members. Within one member, calls are ordered by tick. The *Sample is
-// reused between that member's ticks: Clone to retain. Run, RunTraced
-// and NewSession ignore it.
-func WithMemberObserver(fn func(member int, smp *Sample)) Option {
-	return func(c *config) { c.memberObserver = fn }
-}
-
-// WithControlEvery overrides the flow-controller decision cadence (base
-// ticks) of every scenario in the call, taking precedence over
-// Scenario.ControlEvery. n must be positive (0 restores the scenario's
-// own setting); negative values fail with ErrBadControlEvery.
-func WithControlEvery(n int) Option {
-	return func(c *config) { c.controlEvery = n }
 }
 
 // WithBatchCounters makes the call report batched-solve statistics into

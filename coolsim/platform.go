@@ -110,11 +110,11 @@ func (pc *PlatformCache) Stats() PlatformCacheStats {
 // first use: the direct solver's symbolic analysis, the flow LUT for
 // variable-flow cooling, the TALB weight table for the TALB policy.
 // Builds are deduplicated with concurrent runs, so calling it while the
-// platform is already in use never repeats work. The campaign engine
-// uses it to build each distinct platform shape once before fanning
-// members out.
+// platform is already in use never repeats work. A caller that times
+// runs separately from setup (a benchmark) uses it to build each
+// distinct platform shape up front.
 func (pc *PlatformCache) Prebuild(ctx context.Context, sc Scenario) error {
-	simCfg, err := sc.simConfig(config{})
+	simCfg, err := sc.simConfig()
 	if err != nil {
 		return err
 	}

@@ -53,8 +53,7 @@ func (s *Sample) Clone() Sample {
 }
 
 // sampler owns one reused Sample plus the scratch needed to fill it from
-// a simulator without allocating — the Session's own refill path, also
-// stamped out per member by RunMany's WithMemberObserver wiring.
+// a simulator without allocating — the Session's refill path.
 type sampler struct {
 	sample    Sample
 	layerMax  []units.Celsius
@@ -119,7 +118,7 @@ func NewSession(ctx context.Context, sc Scenario, opts ...Option) (*Session, err
 		ctx = context.Background()
 	}
 	cfg := buildConfig(opts)
-	simCfg, err := sc.simConfig(cfg)
+	simCfg, err := sc.simConfig()
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,8 @@ func TestWithStepperReportCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := coolsim.Run(ctx, sc, coolsim.WithStepper(coolsim.Stepping{Mode: "adaptive"}))
+	sc.Stepping = coolsim.Stepping{Mode: "adaptive"}
+	adaptive, err := coolsim.Run(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,8 @@
 // The public API is the repro/coolsim package: context-cancellable
 // Run/RunMany/RunTraced over plain Scenario values, a Session/Sample
 // streaming API yielding allocation-free per-tick observations, functional
-// options (WithWorkers, WithGrid, WithTick, WithStepper, WithObserver,
-// WithPlatformCache), typed errors, and the offline
-// Analysis sweeps.
+// options (WithWorkers, WithObserver, WithPlatformCache,
+// WithBatchCounters), typed errors, and the offline Analysis sweeps.
 // Runs sharing a stack shape share their expensive setup — grid,
 // assembled thermal network, solver symbolic analysis and numeric
 // factors, controller LUT and weight tables — through a
@@ -33,7 +32,7 @@
 // step-doubling error estimate, refining to the base tick on power and
 // flow transitions and near policy thresholds — per-layer temperatures
 // stay within 0.1 °C of the fixed reference while quiet phases run ~5×
-// faster (Scenario.Stepping, WithStepper, -stepper).
+// faster (Scenario.Stepping, -stepper).
 //
 // See README.md for the build/test/bench quickstart, the layout, the
 // parallel experiment engine (the -workers flag on cmd/repro and

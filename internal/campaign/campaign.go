@@ -58,8 +58,8 @@ func (s MemberStatus) Terminal() bool {
 // Member is one expanded scenario of a campaign: its index in the
 // deterministic expansion order (the identity used by the results tree
 // and the results stream), its canonical scenario bytes, and the
-// platform spec key that groups members for prebuild and routes them on
-// the fleet ring.
+// platform spec key that groups members and routes them on the fleet
+// ring.
 type Member struct {
 	Index   int    `json:"index"`
 	SpecKey string `json:"spec_key"`
@@ -141,8 +141,4 @@ type Metrics struct {
 	ExpandedMembers  int64 `json:"expanded_members"`
 	ResultsPersisted int64 `json:"results_persisted"`
 	ResultsLoaded    int64 `json:"results_loaded"`
-	// PrebuiltPlatforms counts distinct platform shapes (spec keys)
-	// successfully warmed by the campaign-level prebuild before their
-	// members were fanned out (see Manager.SetPrebuild).
-	PrebuiltPlatforms int64 `json:"prebuilt_platforms"`
 }

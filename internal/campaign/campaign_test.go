@@ -456,110 +456,6 @@ func TestFleetResumeSkipsPersistedMembers(t *testing.T) {
 	}
 }
 
-// TestPrebuildGatesSubmission: with a prebuild hook installed, members
-// of a platform shape are not submitted until that shape's prebuild
-// completes, the hook runs once per distinct spec key (shared across
-// campaigns), and the metrics rollup counts the warmed shapes.
-func TestPrebuildGatesSubmission(t *testing.T) {
-	b := newStub()
-	m := campaign.NewManager(b, memRepo(t), newFakeClock())
-	var mu sync.Mutex
-	calls := map[string]int{}
-	release := make(chan struct{})
-	m.SetPrebuild(func(raw json.RawMessage) error {
-		var sc struct {
-			Layers int `json:"layers"`
-		}
-		if err := json.Unmarshal(raw, &sc); err != nil {
-			return err
-		}
-		mu.Lock()
-		calls[fmt.Sprintf("layers=%d", sc.Layers)]++
-		mu.Unlock()
-		<-release
-		return nil
-	})
-	_, err := m.Create(coolsim.Campaign{
-		Name: "prebuild",
-		Scenarios: []coolsim.Scenario{
-			{Layers: 2, Duration: 2, Warmup: 1},
-			{Layers: 4, Duration: 2, Warmup: 1},
-			{Layers: 2, Duration: 2, Warmup: 1, Seed: 7},
-		},
-	})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	// Both shapes' prebuilds are in flight; nothing may be submitted.
-	if n := len(b.groups); n != 0 {
-		t.Fatalf("submitted %d groups before prebuild completed", n)
-	}
-	if got := m.Metrics().PrebuiltPlatforms; got != 0 {
-		t.Fatalf("prebuilt_platforms = %d before completion", got)
-	}
-	close(release)
-	waitFor(t, func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.groups) == 2
-	})
-	mu.Lock()
-	if calls["layers=2"] != 1 || calls["layers=4"] != 1 {
-		t.Fatalf("prebuild calls = %v, want one per shape", calls)
-	}
-	mu.Unlock()
-	if got := m.Metrics().PrebuiltPlatforms; got != 2 {
-		t.Fatalf("prebuilt_platforms = %d, want 2", got)
-	}
-
-	// A second campaign reusing a warmed shape submits immediately, with
-	// no further prebuild calls.
-	_, err = m.Create(coolsim.Campaign{
-		Name:      "prebuild-2",
-		Scenarios: []coolsim.Scenario{{Layers: 2, Duration: 2, Warmup: 1, Seed: 9}},
-	})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if n := len(b.groups); n != 3 {
-		t.Fatalf("warm shape did not submit synchronously: %d groups", n)
-	}
-	mu.Lock()
-	if calls["layers=2"] != 1 {
-		t.Fatalf("warm shape re-ran prebuild: %v", calls)
-	}
-	mu.Unlock()
-	if got := m.Metrics().PrebuiltPlatforms; got != 2 {
-		t.Fatalf("prebuilt_platforms = %d after reuse, want 2", got)
-	}
-}
-
-// TestPrebuildFailureStillSubmits: the prebuild is an optimization — a
-// failing hook must release the members to the backend (where the real
-// run surfaces the real error) and not count toward the metric.
-func TestPrebuildFailureStillSubmits(t *testing.T) {
-	b := newStub()
-	m := campaign.NewManager(b, memRepo(t), newFakeClock())
-	m.SetPrebuild(func(json.RawMessage) error {
-		return errors.New("boom")
-	})
-	_, err := m.Create(coolsim.Campaign{
-		Name:      "prebuild-fail",
-		Scenarios: []coolsim.Scenario{{Layers: 2, Duration: 2, Warmup: 1}},
-	})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	waitFor(t, func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.groups) == 1
-	})
-	if got := m.Metrics().PrebuiltPlatforms; got != 0 {
-		t.Fatalf("prebuilt_platforms = %d after failed prebuild, want 0", got)
-	}
-}
-
 // waitFor polls cond for up to 5 s.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -24,8 +24,8 @@ type FleetBackend struct {
 
 // SubmitGroup enqueues the group's members in order. Same-key jobs are
 // adjacent in booking order and consistent-hash routed to one worker,
-// so the platform prebuild happens once per stack shape and every
-// sibling warm-starts.
+// so each stack shape's platform is built once and every sibling
+// warm-starts.
 func (b FleetBackend) SubmitGroup(campaignID string, members []Member, opts GroupOptions) ([]string, error) {
 	ids := make([]string, len(members))
 	for i, m := range members {

@@ -36,7 +36,7 @@ type GroupOptions struct {
 // the member.
 type Backend interface {
 	// SubmitGroup starts one platform group (members sharing a spec
-	// key, so the platform prebuild happens once per shape). Returns
+	// key, so the platform is built once per shape). Returns
 	// one job ID per member, parallel to members.
 	SubmitGroup(campaignID string, members []Member, opts GroupOptions) ([]string, error)
 	// Status reports one member job: its coarse status, the report
@@ -89,33 +89,16 @@ func (wallClock) Now() time.Time { return time.Now() }
 // members through the backend and persists their reports, cancellation,
 // and restart resume. All methods are safe for concurrent use.
 type Manager struct {
-	backend  Backend
-	repo     *Repo
-	clock    fleet.Clock
-	prebuild func(scenario json.RawMessage) error
+	backend Backend
+	repo    *Repo
+	clock   fleet.Clock
 
 	mu        sync.Mutex
 	campaigns map[string]*state
 	order     []string
 	seq       int64
 	expanded  int64
-	// prebuilds tracks the campaign-level platform prebuild per distinct
-	// spec key (shared across campaigns — a shape warmed for one
-	// campaign is instantly ready for the next); prebuilt counts the
-	// successful ones for /v1/metrics.
-	prebuilds map[string]prebuildState
-	prebuilt  int64
 }
-
-// prebuildState is the lifecycle of one spec key's platform prebuild.
-type prebuildState int
-
-const (
-	prebuildIdle prebuildState = iota
-	prebuildRunning
-	prebuildDone
-	prebuildFailed
-)
 
 // NewManager builds a manager over a backend and a result repository.
 // clock nil means wall time (tests inject a fake).
@@ -123,24 +106,7 @@ func NewManager(b Backend, r *Repo, clock fleet.Clock) *Manager {
 	if clock == nil {
 		clock = wallClock{}
 	}
-	return &Manager{backend: b, repo: r, clock: clock,
-		campaigns: map[string]*state{}, prebuilds: map[string]prebuildState{}}
-}
-
-// SetPrebuild installs the campaign-level platform prebuild hook: before
-// the first members of a distinct platform shape (spec key) are
-// submitted, fn is called once with one member's canonical scenario
-// bytes to build that shape's expensive artifacts (grid, symbolic
-// analysis, LUT, weights), so the fan-out books onto warm platforms
-// instead of having the group's first run pay the builds inside a worker
-// slot. Submission of that key's members is deferred until the prebuild
-// finishes; a failed prebuild releases the members anyway — it is an
-// optimization, and the run itself surfaces the real error. Set before
-// the first Create/Resume; a nil fn (the default) submits immediately.
-func (m *Manager) SetPrebuild(fn func(scenario json.RawMessage) error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.prebuild = fn
+	return &Manager{backend: b, repo: r, clock: clock, campaigns: map[string]*state{}}
 }
 
 // Resume recovers every campaign persisted in the results tree:
@@ -334,18 +300,6 @@ func (m *Manager) reconcileLocked(st *state) {
 		}
 		for _, key := range keys {
 			idxs := groups[key]
-			if m.prebuild != nil {
-				switch m.prebuilds[key] {
-				case prebuildIdle:
-					m.prebuilds[key] = prebuildRunning
-					go m.runPrebuild(key, man.Members[idxs[0]].Scenario)
-					continue
-				case prebuildRunning:
-					// Members stay pending until the build lands; its
-					// completion triggers another reconcile.
-					continue
-				}
-			}
 			group := make([]Member, len(idxs))
 			for k, i := range idxs {
 				group[k] = man.Members[i]
@@ -367,22 +321,6 @@ func (m *Manager) reconcileLocked(st *state) {
 	if manifestDirty {
 		_ = m.repo.SaveManifest(man)
 	}
-}
-
-// runPrebuild executes one spec key's platform prebuild off the manager
-// lock, records the outcome and re-reconciles so the deferred members
-// submit (on success and failure alike — see SetPrebuild).
-func (m *Manager) runPrebuild(key string, scenario json.RawMessage) {
-	err := m.prebuild(scenario)
-	m.mu.Lock()
-	if err != nil {
-		m.prebuilds[key] = prebuildFailed
-	} else {
-		m.prebuilds[key] = prebuildDone
-		m.prebuilt++
-	}
-	m.mu.Unlock()
-	m.Reconcile()
 }
 
 // Cancel marks the campaign canceled and sweeps its members: waiting
@@ -550,7 +488,6 @@ func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	var mt Metrics
 	mt.ExpandedMembers = m.expanded
-	mt.PrebuiltPlatforms = m.prebuilt
 	for _, id := range m.order {
 		st := m.campaigns[id]
 		c := st.counts()

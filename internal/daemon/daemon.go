@@ -1,6 +1,6 @@
 // Package daemon is the simulation service behind both cmd/coolserved
 // and cmd/cooldispatchd: one HTTP server over a fleet.Queue. It owns
-// the client API (runs, batches, campaigns, streams, metrics), the
+// the client API (runs, campaigns, streams, metrics), the
 // worker protocol under /v1/fleet/, in-process execution slots and the
 // per-run broadcast hubs.
 //
@@ -58,7 +58,6 @@ type Daemon struct {
 	journaled bool
 	pcache    *coolsim.PlatformCache
 	camp      *campaign.Manager
-	batch     coolsim.BatchCounters
 
 	baseCtx context.Context
 	abort   context.CancelFunc
@@ -81,7 +80,6 @@ type Daemon struct {
 	local    map[string]context.CancelFunc // in-process runs by job ID
 	wg       sync.WaitGroup                // in-process runs and loops
 	started  int64                         // runs that entered execution
-	batches  int64                         // POST /v1/batches requests run
 	stepping SteppingTotals
 }
 
@@ -138,16 +136,6 @@ func New(cfg Config) (*Daemon, error) {
 		local:     map[string]context.CancelFunc{},
 	}
 	d.camp = campaign.NewManager(campaign.FleetBackend{Q: q, Notify: d.kick}, repo, nil)
-	// Campaign fan-outs warm each distinct platform shape before their
-	// members enter the queue, so local slots book onto warm platforms
-	// and -cache-dir hands the artifacts to restarted processes.
-	d.camp.SetPrebuild(func(raw json.RawMessage) error {
-		sc, err := fleet.DecodeScenario(raw)
-		if err != nil {
-			return err
-		}
-		return d.pcache.Prebuild(ctx, sc)
-	})
 	return d, nil
 }
 

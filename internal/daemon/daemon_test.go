@@ -165,8 +165,8 @@ func TestSubmissionsWakeBooker(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("campaign: %d", resp.StatusCode)
 	}
-	// The prebuild defers the member to a reconcile pass; the member is
-	// job-3 once submitted.
+	// Create submits the member as job-3 and its Notify wakes the
+	// booker.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(ts.URL + "/v1/runs/job-3")

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,7 +18,6 @@ import (
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", d.handleSubmit)
-	mux.HandleFunc("POST /v1/batches", d.handleBatch)
 	mux.HandleFunc("GET /v1/runs", d.handleList)
 	mux.HandleFunc("GET /v1/runs/{id}", d.handleStatus)
 	mux.HandleFunc("GET /v1/runs/{id}/stream", d.handleStream)
@@ -180,77 +178,6 @@ func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d.view(j))
 }
 
-// batchRequest is the wire form of POST /v1/batches: scenarios run
-// together, with the slot count steering how aggressively
-// platform-sharing scenarios are co-scheduled into batched multi-RHS
-// solves (fewer slots than scenarios → wider batches).
-type batchRequest struct {
-	// Scenarios decode individually over DefaultScenario(), so unset
-	// fields inherit the same defaults a /v1/runs submission gets.
-	Scenarios []json.RawMessage `json:"scenarios"`
-	// Workers bounds the batch's worker pool; 0 defaults to 1, which
-	// gangs every compatible scenario through shared solves.
-	Workers int `json:"workers,omitempty"`
-}
-
-// handleBatch runs a scenario batch synchronously in this process,
-// through coolsim.RunMany on the daemon's platform cache: scenarios
-// sharing a stack shape reuse one platform and, when they outnumber
-// the slots, advance in lock-step with their thermal solves served by
-// shared multi-RHS sweeps. Reports equal solo runs apart from the
-// batching diagnostic; /v1/metrics shows the batching statistics. The
-// call holds the request open until the batch completes (client
-// disconnect or drain cancels it). Batches bypass the queue and the
-// fleet.
-func (d *Daemon) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !fleet.DecodeJSON(w, r, 0, &req) {
-		return
-	}
-	if len(req.Scenarios) == 0 {
-		fleet.WriteError(w, http.StatusBadRequest, fleet.CodeBadScenario, "batch has no scenarios")
-		return
-	}
-	scs := make([]coolsim.Scenario, len(req.Scenarios))
-	for i, raw := range req.Scenarios {
-		sc, err := fleet.DecodeScenario(raw)
-		if err != nil {
-			fleet.WriteError(w, http.StatusBadRequest, fleet.CodeBadScenario,
-				fmt.Sprintf("scenario %d: %v", i, err))
-			return
-		}
-		scs[i] = sc
-	}
-	d.mu.Lock()
-	if d.draining {
-		d.mu.Unlock()
-		fleet.WriteError(w, http.StatusServiceUnavailable, fleet.CodeDraining, "server is draining")
-		return
-	}
-	d.batches++
-	d.mu.Unlock()
-
-	// Drain aborts via baseCtx; a client hang-up cancels via the request.
-	ctx, cancel := context.WithCancel(d.baseCtx)
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-	reports, err := coolsim.RunMany(ctx, scs,
-		coolsim.WithPlatformCache(d.pcache),
-		coolsim.WithBatchCounters(&d.batch),
-		coolsim.WithWorkers(max(req.Workers, 1)))
-	switch {
-	case isCanceled(err):
-		fleet.WriteError(w, http.StatusServiceUnavailable, fleet.CodeCanceled, err.Error())
-	case err != nil:
-		fleet.WriteError(w, http.StatusInternalServerError, fleet.CodeInternal, err.Error())
-	default:
-		writeJSON(w, http.StatusOK, struct {
-			Reports []*coolsim.Report `json:"reports"`
-		}{reports})
-	}
-}
-
 func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 	m := d.q.Snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -282,11 +209,6 @@ type MetricsView struct {
 	Campaigns     campaign.Metrics           `json:"campaigns"`
 	PlatformCache coolsim.PlatformCacheStats `json:"platform_cache"`
 	Stepping      SteppingTotals             `json:"stepping"`
-	// Batches counts POST /v1/batches requests run; Batch carries the
-	// lifetime batched-solve statistics (sweeps, batched_solves and the
-	// batch_width histogram).
-	Batches int64              `json:"batches"`
-	Batch   coolsim.BatchStats `json:"batch"`
 	// Streams aggregates the retained hubs: attached subscribers,
 	// frames and bytes fanned out, slow-consumer evictions, ring depth.
 	Streams  stream.Totals `json:"streams"`
@@ -298,7 +220,6 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Fleet:         d.q.Snapshot(),
 		Campaigns:     d.camp.Metrics(),
 		PlatformCache: d.pcache.Stats(),
-		Batch:         d.batch.Stats(),
 	}
 	c := v.Fleet.Jobs
 	v.Jobs = JobCounts{
@@ -308,7 +229,6 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	d.mu.Lock()
 	v.Jobs.Started = d.started
 	v.Stepping = d.stepping
-	v.Batches = d.batches
 	v.Draining = d.draining
 	d.mu.Unlock()
 	d.addStreamTotals(&v.Streams)

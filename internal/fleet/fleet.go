@@ -84,7 +84,7 @@ const (
 // latency to one-off runs.
 const (
 	// PriorityInteractive is the default for direct submissions
-	// (POST /v1/runs, /v1/batches).
+	// (POST /v1/runs).
 	PriorityInteractive = 0
 	// PriorityBulk is the campaign fan-out tier: booked only when no
 	// interactive work is eligible.

@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -270,8 +271,8 @@ func (p *Platform) thermal(ctx context.Context) (*rcnet.System, error) {
 // table when weights is set. Builds go
 // through the same deduplication cells as the lazy path, so a Warm
 // racing real runs never repeats work, and a canceled build is not
-// cached — the next caller retries. The campaign engine calls this once
-// per distinct platform shape before fanning members out.
+// cached — the next caller retries. coolsim.PlatformCache.Prebuild
+// calls it.
 func (p *Platform) Warm(ctx context.Context, lut, weights bool) error {
 	if _, err := p.thermal(ctx); err != nil {
 		return err
@@ -329,7 +330,9 @@ func (p *Platform) LUT(ctx context.Context) (*controller.LUT, error) {
 		return nil, fmt.Errorf("platform: flow LUT needs a liquid-cooled platform (%v)", p.spec)
 	}
 	return p.lut.get(ctx, &p.mu, func() (*controller.LUT, error) {
-		if lut := p.loadLUT(); lut != nil {
+		if lut := loadArtifact(p, "lut", controller.LoadLUT, func(l *controller.LUT) bool {
+			return l.Target == controller.TargetTemp
+		}); lut != nil {
 			p.mu.Lock()
 			p.diskLoads++
 			p.mu.Unlock()
@@ -348,7 +351,7 @@ func (p *Platform) LUT(ctx context.Context) (*controller.LUT, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.saveLUT(lut)
+		p.saveArtifact("lut", lut.SaveJSON)
 		return lut, nil
 	})
 }
@@ -358,7 +361,10 @@ func (p *Platform) LUT(ctx context.Context) (*controller.LUT, error) {
 // air-cooled platforms carry weights.
 func (p *Platform) Weights(ctx context.Context) (*controller.WeightTable, error) {
 	return p.weights.get(ctx, &p.mu, func() (*controller.WeightTable, error) {
-		if wt := p.loadWeights(); wt != nil {
+		// A table for a different core count is stale.
+		if wt := loadArtifact(p, "weights", controller.LoadWeights, func(wt *controller.WeightTable) bool {
+			return len(wt.Base) == len(p.stack.Cores())
+		}); wt != nil {
 			p.mu.Lock()
 			p.weightDiskLoads++
 			p.mu.Unlock()
@@ -372,121 +378,63 @@ func (p *Platform) Weights(ctx context.Context) (*controller.WeightTable, error)
 		if err != nil {
 			return nil, err
 		}
-		p.saveWeights(wt)
+		p.saveArtifact("weights", wt.SaveJSON)
 		return wt, nil
 	})
 }
 
-// lutPath is the spec-keyed artifact file: human-scannable dimensions
-// plus a hash of the full thermal configuration, so two specs that would
-// sweep different LUTs never share a file.
-func (p *Platform) lutPath() string {
+// artifactPath is the spec-keyed file of one persisted artifact: its
+// prefix, human-scannable dimensions and a hash of the full thermal
+// configuration, so two specs that would build different artifacts never
+// share a file.
+func (p *Platform) artifactPath(prefix string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", p.spec)
 	cooling := "air"
 	if p.spec.Liquid {
 		cooling = "liquid"
 	}
-	name := fmt.Sprintf("lut-%dl-%s-%dx%d-%016x.json",
-		p.spec.Layers, cooling, p.spec.GridNX, p.spec.GridNY, h.Sum64())
+	name := fmt.Sprintf("%s-%dl-%s-%dx%d-%016x.json",
+		prefix, p.spec.Layers, cooling, p.spec.GridNX, p.spec.GridNY, h.Sum64())
 	return filepath.Join(p.dir, name)
 }
 
-// loadLUT returns the persisted LUT for this spec, or nil when no dir is
-// configured, the file is absent, or it fails validation.
-func (p *Platform) loadLUT() *controller.LUT {
+// loadArtifact returns the artifact persisted under prefix, or nil when
+// no dir is configured, the file is absent, or it fails to decode or
+// validate.
+func loadArtifact[T any](p *Platform, prefix string, decode func(io.Reader) (*T, error), valid func(*T) bool) *T {
 	if p.dir == "" {
 		return nil
 	}
-	f, err := os.Open(p.lutPath())
+	f, err := os.Open(p.artifactPath(prefix))
 	if err != nil {
 		return nil
 	}
 	defer f.Close()
-	lut, err := controller.LoadLUT(f)
-	if err != nil || lut.Target != controller.TargetTemp {
+	v, err := decode(f)
+	if err != nil || !valid(v) {
 		return nil
 	}
-	return lut
+	return v
 }
 
-// saveLUT persists a freshly built LUT, atomically (temp file + rename)
-// so concurrent processes sharing the directory never read a torn file.
-// Best-effort: a failure only means the next process re-sweeps.
-func (p *Platform) saveLUT(lut *controller.LUT) {
+// saveArtifact persists a freshly built artifact under prefix,
+// atomically (temp file + rename) so concurrent processes sharing the
+// directory never read a torn file. Best-effort: a failure only means
+// the next process rebuilds.
+func (p *Platform) saveArtifact(prefix string, encode func(io.Writer) error) {
 	if p.dir == "" {
 		return
 	}
 	if err := os.MkdirAll(p.dir, 0o755); err != nil {
 		return
 	}
-	path := p.lutPath()
+	path := p.artifactPath(prefix)
 	tmp, err := os.CreateTemp(p.dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return
 	}
-	if err := lut.SaveJSON(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
-// weightsPath is the spec-keyed weight-table file, keyed like lutPath so
-// two specs with different thermal configurations never share a table.
-func (p *Platform) weightsPath() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", p.spec)
-	cooling := "air"
-	if p.spec.Liquid {
-		cooling = "liquid"
-	}
-	name := fmt.Sprintf("weights-%dl-%s-%dx%d-%016x.json",
-		p.spec.Layers, cooling, p.spec.GridNX, p.spec.GridNY, h.Sum64())
-	return filepath.Join(p.dir, name)
-}
-
-// loadWeights returns the persisted weight table for this spec, or nil
-// when no dir is configured, the file is absent, or it fails validation
-// (including a core count that no longer matches the stack).
-func (p *Platform) loadWeights() *controller.WeightTable {
-	if p.dir == "" {
-		return nil
-	}
-	f, err := os.Open(p.weightsPath())
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	wt, err := controller.LoadWeights(f)
-	if err != nil || len(wt.Base) != len(p.stack.Cores()) {
-		return nil
-	}
-	return wt
-}
-
-// saveWeights persists a freshly built weight table, atomically (temp
-// file + rename), best-effort like saveLUT.
-func (p *Platform) saveWeights(wt *controller.WeightTable) {
-	if p.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(p.dir, 0o755); err != nil {
-		return
-	}
-	path := p.weightsPath()
-	tmp, err := os.CreateTemp(p.dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return
-	}
-	if err := wt.SaveJSON(tmp); err != nil {
+	if err := encode(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return

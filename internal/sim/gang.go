@@ -86,10 +86,9 @@ func planJobs(cfgs []Config, slots int) [][]int {
 // lowest-index failing config, nil if all succeeded.
 func runGang(ctx context.Context, cfgs []Config, idxs []int, out []*Result) error {
 	type member struct {
-		idx    int
-		s      *Sim
-		eng    stepper.SplitEngine
-		startT units.Second // time before the in-flight step (observer's measured flag)
+		idx int
+		s   *Sim
+		eng stepper.SplitEngine
 	}
 	var firstErr error
 	errIdx := len(cfgs)
@@ -145,7 +144,6 @@ func runGang(ctx context.Context, cfgs []Config, idxs []int, out []*Result) erro
 				out[m.idx] = m.s.Result()
 				continue
 			}
-			m.startT = m.s.time
 			if err := m.s.stepPrepare(m.eng); err != nil {
 				record(m.idx, fmt.Errorf("sim: step at t=%v: %w", m.s.time, err))
 				continue
@@ -178,9 +176,6 @@ func runGang(ctx context.Context, cfgs []Config, idxs []int, out []*Result) erro
 			if err := m.s.stepFinish(m.eng); err != nil {
 				record(m.idx, fmt.Errorf("sim: step at t=%v: %w", m.s.time, err))
 				continue
-			}
-			if obs := m.s.Cfg.Observer; obs != nil {
-				obs(m.s, m.startT >= 0)
 			}
 			kept = append(kept, m)
 		}

@@ -86,12 +86,6 @@ type Config struct {
 	// (e.g. day/night shifts). It receives the time since measurement
 	// start (warm-up has t < 0) and returns a utilization scale.
 	UtilSchedule func(t units.Second) float64
-	// LUT and Weights allow reuse of precomputed tables across runs of
-	// the same system (they depend only on stack + cooling, not on
-	// policy or workload). Nil means take them from the Platform (which
-	// builds each at most once and shares it).
-	LUT     *controller.LUT
-	Weights *controller.WeightTable
 	// Platform, when non-nil, supplies the shared per-stack artifacts
 	// (floorplan, grid, pump, solver symbolic analysis, LUT, weight
 	// table). Its spec must match this config (PlatformSpec); New
@@ -118,11 +112,6 @@ type Config struct {
 	// runs by RunAll (see rcnet.BatchCounters). Safe to share across
 	// configs and concurrent calls.
 	BatchCounters *rcnet.BatchCounters
-	// Observer, when non-nil, is called after every emitted base tick of
-	// Run/RunAll (warm-up included, measured=false there) with the
-	// simulation positioned at that tick. It runs on the simulation
-	// goroutine: read the accessors, copy what you need, return quickly.
-	Observer func(s *Sim, measured bool)
 }
 
 // ArrivalSource produces the thread arrivals of consecutive windows.
@@ -366,12 +355,9 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 		if cfg.FlowPolicy != nil {
 			s.Flow = cfg.FlowPolicy
 		} else {
-			lut := cfg.LUT
-			if lut == nil {
-				lut, err = p.LUT(ctx)
-				if err != nil {
-					return nil, err
-				}
+			lut, err := p.LUT(ctx)
+			if err != nil {
+				return nil, err
 			}
 			ctrlCfg := controller.DefaultConfig()
 			if cfg.ControllerCfg != nil {
@@ -387,14 +373,10 @@ func New(ctx context.Context, cfg Config) (*Sim, error) {
 		}
 	}
 	if cfg.Policy == sched.TALB {
-		wt := cfg.Weights
-		if wt == nil {
-			wt, err = p.Weights(ctx)
-			if err != nil {
-				return nil, err
-			}
+		s.WTab, err = p.Weights(ctx)
+		if err != nil {
+			return nil, err
 		}
-		s.WTab = wt
 	}
 
 	s.faults = newFaultState(cfg.Faults, cfg.Seed, len(s.cores))
@@ -647,12 +629,8 @@ func (s *Sim) runToEnd(ctx context.Context) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st := s.time
 		if err := s.Step(); err != nil {
 			return nil, fmt.Errorf("sim: step at t=%v: %w", s.time, err)
-		}
-		if s.Cfg.Observer != nil {
-			s.Cfg.Observer(s, st >= 0)
 		}
 	}
 	return s.Result(), nil

@@ -208,30 +208,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSharedLUTMatchesInternal(t *testing.T) {
-	// Passing a precomputed LUT must not change behaviour.
-	cfg := quickCfg(t, LiquidVar, sched.TALB, "Web-med")
-	s, err := New(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := cfg
-	shared.LUT = s.Ctrl.LUT
-	shared.Weights = s.WTab
-	r1, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(context.Background(), shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.ChipEnergy != r2.ChipEnergy || r1.PumpEnergy != r2.PumpEnergy {
-		t.Errorf("shared LUT changed results: %v/%v vs %v/%v",
-			r1.ChipEnergy, r1.PumpEnergy, r2.ChipEnergy, r2.PumpEnergy)
-	}
-}
-
 func TestCoolingModeString(t *testing.T) {
 	for m, want := range map[CoolingMode]string{Air: "Air", LiquidMax: "Max", LiquidVar: "Var"} {
 		if got := m.String(); got != want {
